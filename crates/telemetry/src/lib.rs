@@ -42,6 +42,7 @@ pub mod audit;
 pub mod cluster;
 pub mod event;
 pub mod export;
+mod json;
 pub mod recorder;
 pub mod tail;
 

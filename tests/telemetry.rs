@@ -129,7 +129,8 @@ fn streams_are_populated_and_self_describing() {
             .count();
         assert!(actions > 0, "replica {r}: no Action events recorded");
         for rec in &rep.audit {
-            let why = rec.why();
+            let mut why = String::new();
+            rec.write_why(&mut why);
             assert!(why.contains("because"), "unexplained decision: {why}");
             assert!(rec.slacklimit >= 0.0 && rec.loadlimit > 0.0);
         }

@@ -19,7 +19,8 @@
 //!
 //! Results are written as text + JSON under `results/` (override with
 //! `RHYTHM_RESULTS_DIR`). `--json` switches stdout from the text tables
-//! to the same JSON document written to `results/<id>.json`.
+//! to the same JSON document written to `results/<id>.json` (for
+//! `fig09`..`fig14`, the shared grid document `results/colocation.json`).
 
 use rhythm_bench as b;
 use std::time::Instant;

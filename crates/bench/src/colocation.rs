@@ -6,6 +6,9 @@
 //! highlighted Servpod per service (Tomcat, Slave, Zookeeper, Memcached,
 //! Kibana); Figures 12-14 read service-level EMU / CPU / MemBW
 //! improvements of Rhythm over Heracles.
+//!
+//! Each figure writes its own `figNN.txt`; all six share the grid's data
+//! as one `colocation.json`.
 
 use crate::{parallel_map, Report};
 use rhythm_core::experiment::{ExperimentConfig, ServiceContext};
@@ -275,7 +278,7 @@ pub fn fig09(grid: &Grid) -> std::io::Result<()> {
         PodMetric::BeThroughput,
         "normalized BE throughput",
     ));
-    r.finish(grid)
+    r.finish_as("colocation", grid)
 }
 
 /// Writes the Figure 10 report.
@@ -285,7 +288,7 @@ pub fn fig10(grid: &Grid) -> std::io::Result<()> {
         "CPU utilization at Servpods under different loads (Figure 10)",
     );
     r.line(render_pod_figure(grid, PodMetric::CpuUtil, "machine CPU %"));
-    r.finish(grid)
+    r.finish_as("colocation", grid)
 }
 
 /// Writes the Figure 11 report.
@@ -299,7 +302,7 @@ pub fn fig11(grid: &Grid) -> std::io::Result<()> {
         PodMetric::MembwUtil,
         "machine MemBW %",
     ));
-    r.finish(grid)
+    r.finish_as("colocation", grid)
 }
 
 /// Writes the Figure 12 report.
@@ -309,7 +312,7 @@ pub fn fig12(grid: &Grid) -> std::io::Result<()> {
         "EMU improvements under different loads (Figure 12)",
     );
     r.line(render_improvement_figure(grid, SvcMetric::Emu, "EMU"));
-    r.finish(grid)
+    r.finish_as("colocation", grid)
 }
 
 /// Writes the Figure 13 report.
@@ -320,7 +323,7 @@ pub fn fig13(grid: &Grid) -> std::io::Result<()> {
         SvcMetric::Cpu,
         "CPU utilization",
     ));
-    r.finish(grid)
+    r.finish_as("colocation", grid)
 }
 
 /// Writes the Figure 14 report.
@@ -334,7 +337,7 @@ pub fn fig14(grid: &Grid) -> std::io::Result<()> {
         SvcMetric::Membw,
         "MemBW utilization",
     ));
-    r.finish(grid)
+    r.finish_as("colocation", grid)
 }
 
 /// Builds the grid once and writes all six figures.

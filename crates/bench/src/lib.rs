@@ -50,64 +50,39 @@ pub mod trace;
 pub use report::Report;
 
 /// Runs `jobs` closures in parallel across available cores and returns
-/// their results in input order.
+/// their results in input order. A panicking job panics the caller.
 pub fn parallel_map<T, F>(jobs: Vec<F>) -> Vec<T>
 where
     T: Send,
     F: FnOnce() -> T + Send,
 {
-    let n = jobs.len();
-    let mut results: Vec<Option<T>> = (0..n).map(|_| None).collect();
     let threads = std::thread::available_parallelism()
         .map(|p| p.get())
         .unwrap_or(4)
-        .min(n.max(1));
-    let queue: crossbeam::queue::SegQueue<(usize, F)> = crossbeam::queue::SegQueue::new();
-    for (i, j) in jobs.into_iter().enumerate() {
-        queue.push((i, j));
-    }
-    let slots: Vec<slot::Slot<T>> = (0..n).map(|_| slot::Slot::new()).collect();
-    crossbeam::scope(|s| {
-        for _ in 0..threads {
-            s.spawn(|_| {
-                while let Some((i, job)) = queue.pop() {
-                    slots[i].put(job());
-                }
-            });
-        }
-    })
-    .expect("worker thread panicked");
-    for (i, slot) in slots.into_iter().enumerate() {
-        results[i] = slot.take();
-    }
-    results.into_iter().map(|r| r.expect("job ran")).collect()
-}
-
-/// A tiny once-per-index result slot.
-mod slot {
-    use std::sync::Mutex;
-
-    pub struct Slot<T>(Mutex<Option<T>>);
-
-    impl<T> Slot<T> {
-        pub fn new() -> Self {
-            Slot(Mutex::new(None))
-        }
-
-        pub fn put(&self, v: T) {
-            *self.0.lock().expect("slot poisoned") = Some(v);
-        }
-
-        pub fn take(self) -> Option<T> {
-            self.0.into_inner().expect("slot poisoned")
-        }
-    }
-
-    impl<T> Default for Slot<T> {
-        fn default() -> Self {
-            Self::new()
-        }
-    }
+        .min(jobs.len().max(1));
+    let queue = std::sync::Mutex::new(jobs.into_iter().enumerate());
+    let mut done: Vec<(usize, T)> = std::thread::scope(|s| {
+        let workers: Vec<_> = (0..threads)
+            .map(|_| {
+                s.spawn(|| {
+                    let mut out = Vec::new();
+                    loop {
+                        // The guard drops at the end of this statement, so
+                        // jobs run outside the lock.
+                        let next = queue.lock().expect("job queue poisoned").next();
+                        let Some((i, job)) = next else { break out };
+                        out.push((i, job()));
+                    }
+                })
+            })
+            .collect();
+        workers
+            .into_iter()
+            .flat_map(|w| w.join().expect("parallel_map job panicked"))
+            .collect()
+    });
+    done.sort_unstable_by_key(|&(i, _)| i);
+    done.into_iter().map(|(_, r)| r).collect()
 }
 
 #[cfg(test)]
@@ -126,5 +101,19 @@ mod tests {
     fn parallel_map_empty() {
         let jobs: Vec<Box<dyn FnOnce() -> u8 + Send>> = Vec::new();
         assert!(parallel_map(jobs).is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "parallel_map job panicked")]
+    fn parallel_map_panicking_job_panics() {
+        let jobs: Vec<Box<dyn FnOnce() -> usize + Send>> = (0..8usize)
+            .map(|i| {
+                Box::new(move || {
+                    assert_ne!(i, 5, "job 5 fails");
+                    i
+                }) as _
+            })
+            .collect();
+        parallel_map(jobs);
     }
 }

@@ -74,10 +74,18 @@ impl Report {
     /// prints the text (or, in [`set_json_stdout`] mode, the JSON
     /// document) to stdout.
     pub fn finish<T: Serialize>(self, data: &T) -> std::io::Result<()> {
+        let id = self.id.clone();
+        self.finish_as(&id, data)
+    }
+
+    /// Like [`Report::finish`], but names the JSON document
+    /// `<data_id>.json`, so reports rendered from one data set (the
+    /// Figures 9-14 grid) share one file instead of six copies.
+    pub fn finish_as<T: Serialize>(self, data_id: &str, data: &T) -> std::io::Result<()> {
         fs::create_dir_all(&self.out_dir)?;
         let txt = self.out_dir.join(format!("{}.txt", self.id));
         fs::write(&txt, &self.text)?;
-        let json = self.out_dir.join(format!("{}.json", self.id));
+        let json = self.out_dir.join(format!("{data_id}.json"));
         let mut f = fs::File::create(&json)?;
         serde_json::to_writer_pretty(&mut f, data)?;
         writeln!(f)?;

@@ -23,7 +23,7 @@
 //! * [`state`] — the N-machine cluster as service replicas, global
 //!   machine indexing, per-replica seed derivation;
 //! * [`runner`] — the parallel epoch-barrier runner: engines advance one
-//!   controller period at a time on crossbeam workers, cluster
+//!   controller period at a time on scoped worker threads, cluster
 //!   bookkeeping happens single-threaded at the barrier, and results are
 //!   bit-identical for any worker-thread count;
 //! * [`metrics`] — merged cluster-wide EMU / utilization plus job

@@ -5,7 +5,7 @@
 //! couples two engines except the dispatcher, and the dispatcher only
 //! acts on controller signals, which are emitted every 2 s of virtual
 //! time. So the runner executes all engines up to the next epoch boundary
-//! on a pool of crossbeam worker threads, then performs the cluster-level
+//! on a pool of scoped worker threads, then performs the cluster-level
 //! bookkeeping (admission binding, kill/requeue, completion, placement)
 //! in a **single-threaded merge in fixed machine order**. Every engine
 //! owns independent splitmix-derived RNG streams and the merge never
@@ -72,7 +72,6 @@ use crate::placement::{PlacementPolicy, Placer};
 use crate::queue::{JobQueue, SeqSource};
 use crate::snapshot::{ClusterSnapshot, GangState, SchedulerState, ShardState};
 use crate::state::{global_index, machine_ref, replica_seed, ClusterConfig, ShardMap};
-use crossbeam::queue::SegQueue;
 use rhythm_controller::BeAction;
 use rhythm_core::experiment::{ControllerChoice, ExperimentConfig, ServiceContext};
 use rhythm_core::metrics::RunMetrics;
@@ -92,10 +91,27 @@ use std::sync::{Arc, Mutex, MutexGuard};
 /// every boundary (as `std::sync::Barrier` does) costs more than the
 /// epoch itself. Arrivals spin briefly and fall back to `yield_now` so
 /// an oversubscribed host still makes progress.
+///
+/// A participant that unwinds never arrives, so every participant holds
+/// a [`SpinBarrier::poison_on_panic`] guard: its drop during a panic
+/// poisons the barrier, and waiters then panic instead of spinning
+/// forever on an arrival that will never come.
 struct SpinBarrier {
     total: usize,
     count: AtomicUsize,
     generation: AtomicUsize,
+    poisoned: AtomicBool,
+}
+
+/// Poisons its [`SpinBarrier`] if dropped while the thread panics.
+struct PoisonOnPanic<'a>(&'a SpinBarrier);
+
+impl Drop for PoisonOnPanic<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.poisoned.store(true, Ordering::Release);
+        }
+    }
 }
 
 impl SpinBarrier {
@@ -104,7 +120,13 @@ impl SpinBarrier {
             total,
             count: AtomicUsize::new(0),
             generation: AtomicUsize::new(0),
+            poisoned: AtomicBool::new(false),
         }
+    }
+
+    /// A guard each participant holds for as long as it uses the barrier.
+    fn poison_on_panic(&self) -> PoisonOnPanic<'_> {
+        PoisonOnPanic(self)
     }
 
     fn wait(&self) {
@@ -121,6 +143,12 @@ impl SpinBarrier {
         } else {
             let mut spins = 0u32;
             while self.generation.load(Ordering::Acquire) == gen {
+                // PANIC: a peer unwound without arriving; waiting on
+                // would hang the run, so fail it instead.
+                assert!(
+                    !self.poisoned.load(Ordering::Acquire),
+                    "epoch barrier poisoned: a peer panicked"
+                );
                 spins += 1;
                 if spins < 256 {
                     std::hint::spin_loop();
@@ -657,7 +685,7 @@ impl<'c> Scheduler<'c> {
             let spec = Arc::clone(&self.jobs[jid as usize].spec);
             let priority = self.jobs[jid as usize].priority;
             let r = machine_ref(g, self.pods);
-            engines[r.replica].set_be_offer_prio(r.pod, Some((spec, priority)));
+            engines[r.replica].set_be_offer(r.pod, Some((spec, priority)));
             if dest != self.map.home_shard(jid) {
                 // Placed outside its home shard: identical decision to
                 // the unsharded argmin, recorded as a steal.
@@ -1394,23 +1422,33 @@ impl<'a> ClusterRunner<'a> {
         // microseconds of engine work, so spawning threads per epoch (or
         // parking them in the kernel at each boundary) would dominate the
         // run. Workers wait at a spin barrier; the main thread opens each
-        // epoch by publishing the target time and filling the task queue,
-        // helps drain it, and does the single-threaded merge while the
-        // workers spin at the next barrier. Whoever ran an engine also
+        // epoch by publishing the target time and rewinding the engine
+        // cursor, helps drain it, and does the single-threaded merge while
+        // the workers spin at the next barrier. Whoever ran an engine also
         // syncs its BE progress to the boundary — engine-local work that
         // used to serialize inside the merge.
+        //
+        // Each engine stays behind its own `Mutex`: between barriers the
+        // merge needs `&mut` to every engine while the workers still hold
+        // a shared borrow of `slots`, and the workspace forbids `unsafe`.
+        // The locks are uncontended (one owner per phase).
         let workers = cfg.threads.max(1).min(engines.len());
         let mut cluster_tail: Vec<TailPoint> = tail0;
         let slots: Vec<Mutex<Engine>> = engines.into_iter().map(Mutex::new).collect();
         let barrier = SpinBarrier::new(workers);
-        let tasks: SegQueue<usize> = SegQueue::new();
+        let cursor = AtomicUsize::new(0);
         let until = AtomicU64::new(0);
         let done = AtomicBool::new(false);
 
-        let advance = |i: usize, target: SimTime| {
+        // Advances engines to `target` until the cursor passes the last
+        // one. Each index is claimed by exactly one participant and
+        // engines share no state, so claim order cannot affect results.
+        let drain = |target: SimTime| loop {
+            let i = cursor.fetch_add(1, Ordering::Relaxed);
+            let Some(slot) = slots.get(i) else { break };
             // PANIC: a poisoned lock means a worker already panicked —
             // propagating the abort is the only sound option.
-            let mut engine = slots[i].lock().expect("engine slot poisoned");
+            let mut engine = slot.lock().expect("engine slot poisoned");
             engine.run_until(target);
             if target != SimTime::MAX {
                 // The final drain has no merge after it: nothing reads BE
@@ -1424,36 +1462,30 @@ impl<'a> ClusterRunner<'a> {
             }
         };
 
-        crossbeam::scope(|s| {
+        std::thread::scope(|s| {
             for _ in 1..workers {
-                s.spawn(|_| loop {
-                    barrier.wait();
-                    if done.load(Ordering::Acquire) {
-                        break;
+                s.spawn(|| {
+                    let _poison = barrier.poison_on_panic();
+                    loop {
+                        barrier.wait();
+                        if done.load(Ordering::Acquire) {
+                            break;
+                        }
+                        drain(SimTime::from_nanos(until.load(Ordering::Acquire)));
+                        barrier.wait();
                     }
-                    let target = SimTime::from_nanos(until.load(Ordering::Acquire));
-                    while let Some(i) = tasks.pop() {
-                        advance(i, target);
-                    }
-                    barrier.wait();
                 });
             }
+            let _poison = barrier.poison_on_panic();
 
-            // Advances every engine to `target` on the pool. Each engine
-            // is popped by exactly one worker and engines share no state,
-            // so pop order cannot affect results.
+            // Advances every engine to `target` on the pool.
             let run_to = |target: SimTime| {
                 until.store(target.as_nanos(), Ordering::Release);
-                for i in 0..slots.len() {
-                    tasks.push(i);
-                }
+                cursor.store(0, Ordering::Relaxed);
                 barrier.wait();
-                while let Some(i) = tasks.pop() {
-                    advance(i, target);
-                }
+                drain(target);
                 barrier.wait();
             };
-
             let mut t = start_t;
             let mut epoch_idx: u32 = start_epoch;
             let have_faults = !sched.plan.is_empty();
@@ -1520,9 +1552,7 @@ impl<'a> ClusterRunner<'a> {
             run_to(SimTime::MAX);
             done.store(true, Ordering::Release);
             barrier.wait();
-        })
-        // PANIC: re-raise a worker thread's panic on the coordinator.
-        .expect("cluster worker panicked");
+        });
 
         let mut outputs: Vec<_> = slots
             .into_iter()
@@ -1930,5 +1960,23 @@ mod tests {
         assert!(run.snapshots.is_empty());
         let straight = run_cluster(&ctx, &ControllerChoice::Rhythm, &c);
         assert_outcomes_identical(&straight, &run.outcome, "no-op capture run");
+    }
+
+    #[test]
+    fn barrier_poisons_when_a_participant_panics() {
+        let barrier = SpinBarrier::new(2);
+        let joined = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            std::thread::scope(|s| {
+                s.spawn(|| {
+                    let _poison = barrier.poison_on_panic();
+                    barrier.wait();
+                });
+                s.spawn(|| {
+                    let _poison = barrier.poison_on_panic();
+                    panic!("participant fails before arriving");
+                });
+            });
+        }));
+        assert!(joined.is_err(), "a peer's panic must fail the waiter, not hang it");
     }
 }

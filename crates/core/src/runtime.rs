@@ -98,11 +98,6 @@ pub struct EngineConfig {
     pub capture_visits: bool,
     /// Record the Figure 17 timeline.
     pub record_timeline: bool,
-    /// BE jobs waiting in the cluster scheduler's queue per machine
-    /// (paper §4, "interact with scheduler"): `None` models an unbounded
-    /// backlog (the datacenter always has batch work); `Some(n)` lets at
-    /// most `n` admissions happen per machine.
-    pub be_queue_per_machine: Option<u32>,
     /// Cluster mode: BE admission is driven by per-machine offers set
     /// through [`Engine::set_be_offer`] instead of the internal
     /// round-robin over `bes` — a machine only admits a new instance
@@ -142,7 +137,6 @@ impl EngineConfig {
             collect_sojourns: false,
             capture_visits: false,
             record_timeline: false,
-            be_queue_per_machine: None,
             external_be: false,
             telemetry: TelemetryConfig::disabled(),
             shadow_busy_log: false,
@@ -704,18 +698,12 @@ impl Engine {
     }
 
     /// Sets (or clears) the BE job the cluster dispatcher offers to
-    /// machine `i`, at priority 0. Only meaningful with
-    /// [`EngineConfig::external_be`].
-    pub fn set_be_offer(&mut self, i: usize, offer: Option<BeSpec>) {
-        self.set_be_offer_prio(i, offer.map(|s| (Arc::new(s), 0)));
-    }
-
-    /// Sets (or clears) the BE job the cluster dispatcher offers to
-    /// machine `i`, tagged with its priority class (0 = lowest). The
-    /// controller admits the instance at that class, so preemption can
-    /// select victims by priority later. The spec is shared, not cloned:
-    /// the cluster ledger and the offer hold the same allocation.
-    pub fn set_be_offer_prio(&mut self, i: usize, offer: Option<(Arc<BeSpec>, u8)>) {
+    /// machine `i`, tagged with its priority class (0 = lowest). Only
+    /// meaningful with [`EngineConfig::external_be`]. The controller
+    /// admits the instance at that class, so preemption can select
+    /// victims by priority later. The spec is shared, not cloned: the
+    /// cluster ledger and the offer hold the same allocation.
+    pub fn set_be_offer(&mut self, i: usize, offer: Option<(Arc<BeSpec>, u8)>) {
         if let Some((spec, _)) = &offer {
             // The pressure model looks workloads up by name; make sure
             // offered specs are resolvable even if absent from `cfg.bes`.
@@ -745,14 +733,6 @@ impl Engine {
     /// Drains the log of StopBE kills since the last call.
     pub fn take_be_kills(&mut self) -> Vec<BeKill> {
         std::mem::take(&mut self.killed_log)
-    }
-
-    /// Accrues per-instance BE progress up to time `t` using the current
-    /// allocations. The cluster barrier MUST call this before mutating BE
-    /// state between epochs, so a job suspended or removed mid-tick does
-    /// not accrue (or lose) progress for the wrong fraction of the tick.
-    pub fn sync_be_progress(&mut self, t: SimTime) {
-        self.accrue_be_progress(t);
     }
 
     /// Batched settlement of the per-node worker-busy integrals: folds
@@ -1387,7 +1367,7 @@ impl Engine {
     /// run *before* any BE mutation (controller tick, cluster barrier):
     /// a job suspended mid-epoch accrues only for the fraction of the
     /// tick it actually ran, never for the suspended remainder.
-    fn accrue_be_progress(&mut self, now: SimTime) {
+    pub fn sync_be_progress(&mut self, now: SimTime) {
         let dt = now.saturating_since(self.last_progress_at).as_secs_f64();
         if now > self.last_progress_at {
             self.last_progress_at = now;
@@ -1508,7 +1488,7 @@ impl Engine {
     fn on_metrics(&mut self, now: SimTime) {
         self.flush_busy_integrals(now);
         self.integrate(now);
-        self.accrue_be_progress(now);
+        self.sync_be_progress(now);
         let next = now + SimDuration::from_secs(1);
         if next < self.end_at {
             self.cal.schedule(next, Ev::Metrics);
@@ -1518,7 +1498,7 @@ impl Engine {
     fn on_control(&mut self, now: SimTime) {
         self.flush_busy_integrals(now);
         self.integrate(now);
-        self.accrue_be_progress(now);
+        self.sync_be_progress(now);
         let load_fraction = self.measured_rate(now) / self.maxload;
         let tail_ms = self.tail.quantile(now, 0.99);
         let slack = ThresholdPolicy::slack(tail_ms, self.cfg.sla_ms);
@@ -1587,15 +1567,11 @@ impl Engine {
                     }
                 } else {
                     // Round-robin the BE workload offered to the
-                    // admission step. Scheduler interaction (§4): the
-                    // machine only receives new BE jobs while the
-                    // scheduler's queue for it is non-empty.
+                    // admission step over an unbounded backlog (the
+                    // datacenter always has batch work); the cluster
+                    // runner models a finite queue through offers.
                     let be = &bes[(machine.be_started as usize) % bes.len()];
-                    let pending = match cfg.be_queue_per_machine {
-                        None => true,
-                        Some(limit) => machine.be_started < limit as u64,
-                    };
-                    (pending, be, 0)
+                    (true, be, 0)
                 };
                 let inputs = AgentInputs {
                     load_fraction,
@@ -1678,7 +1654,7 @@ impl Engine {
         // settle at whichever is later.
         self.flush_busy_integrals(end.max(self.cal.now()));
         self.integrate(end);
-        self.accrue_be_progress(end);
+        self.sync_be_progress(end);
         if !self.window_hist.is_empty() {
             self.worst_window_p99 = self.worst_window_p99.max(self.window_hist.p99());
         }
@@ -2445,26 +2421,6 @@ mod tests {
         assert!(mysql_visits > 0);
         let ratio = mysql_visits as f64 / front_visits as f64;
         assert!((0.2..0.4).contains(&ratio), "p=0.3 visits, got {ratio}");
-    }
-
-    #[test]
-    fn finite_be_queue_limits_admissions() {
-        let mut cfg = EngineConfig::solo(0.4, 60, 11);
-        cfg.bes = vec![BeSpec::of(BeKind::Wordcount)];
-        cfg.sla_ms = 10_000.0;
-        cfg.be_queue_per_machine = Some(2);
-        cfg.mode = ControlMode::Managed {
-            thresholds: vec![Thresholds::new(0.9, 0.05); 4],
-        };
-        let out = Engine::new(apps::ecommerce(), cfg).run();
-        for p in &out.pods {
-            assert!(
-                p.be_instances_avg <= 2.0 + 1e-9,
-                "{}: {} instances with a 2-job queue",
-                p.name,
-                p.be_instances_avg
-            );
-        }
     }
 
     #[test]

@@ -145,12 +145,10 @@ fn chaos_campaign() -> Vec<u64> {
         .collect()
 }
 
-/// The telemetry exports of a small faulted, gang-free cluster (the
-/// `tests/telemetry.rs` fault cell at 2 worker threads). Pins the exact
-/// bytes of the JSONL, Chrome-trace and why-report renderers as
-/// `(length, FNV-1a)` per export. The run covers both `hot_pod` arms of
-/// the audit records and cluster events with and without a shard.
-fn export_run() -> ClusterTelemetry {
+/// A small faulted, gang-free cluster with full telemetry (the
+/// `tests/telemetry.rs` fault cell at 2 worker threads): a crash, a
+/// slow node and both recoveries.
+fn faulted_telemetry_cell() -> (ServiceContext, ClusterConfig) {
     let ctx = ServiceContext::prepare(apps::solr(), &[BeSpec::of(BeKind::Wordcount)], 11);
     let mut c = ClusterConfig::new(2 * ctx.service.len()).with_scaled_jobs(0.02);
     c.duration_s = 60;
@@ -164,6 +162,15 @@ fn export_run() -> ClusterTelemetry {
         .slow_node(20.0, 2, 0.6)
         .recover(34.0, 1)
         .recover(44.0, 2);
+    (ctx, c)
+}
+
+/// The telemetry exports of [`faulted_telemetry_cell`]. Pins the exact
+/// bytes of the JSONL, Chrome-trace and why-report renderers as
+/// `(length, FNV-1a)` per export. The run covers both `hot_pod` arms of
+/// the audit records and cluster events with and without a shard.
+fn export_run() -> ClusterTelemetry {
+    let (ctx, c) = faulted_telemetry_cell();
     let tel = run_cluster(&ctx, &ControllerChoice::Rhythm, &c)
         .telemetry
         .expect("telemetry enabled");
@@ -179,6 +186,25 @@ fn export_run() -> ClusterTelemetry {
     assert!(sharded().any(|s| s), "no cluster event with a shard");
     assert!(sharded().any(|s| !s), "no cluster event without a shard");
     tel
+}
+
+/// Snapshots of [`faulted_telemetry_cell`] at epochs 10 and 20 as
+/// `(fingerprint, byte length)`. Unlike [`snapshot_run`], these
+/// containers carry telemetry (events, audit records, tail series,
+/// cluster events) and chaos state (fault plan, injector progress), so
+/// they pin the bytes of those codecs too.
+fn snapshot_telemetry_faults() -> [(u64, usize); 2] {
+    let (ctx, c) = faulted_telemetry_cell();
+    let run = ClusterRunner::new(&ctx, &ControllerChoice::Rhythm, &c)
+        .snapshot_at(10)
+        .snapshot_at(20)
+        .run();
+    let pins: Vec<(u64, usize)> = run
+        .snapshots
+        .iter()
+        .map(|(_, snap)| (snap.fingerprint(), snap.to_bytes().len()))
+        .collect();
+    pins.try_into().expect("two captures")
 }
 
 fn fnv1a(bytes: &[u8]) -> u64 {
@@ -250,6 +276,11 @@ fn print_fingerprints() {
         snap.fingerprint(),
         snap.to_bytes().len()
     );
+    let pins = snapshot_telemetry_faults().map(|(fp, len)| format!("({fp:#018x}, {len})"));
+    println!(
+        "const SNAPSHOT_TELEMETRY_FAULTS: [(u64, usize); 2] = [{}];",
+        pins.join(", ")
+    );
     println!("const CHAOS_CAMPAIGN: &[u64] = &{:?};", chaos_campaign());
     println!(
         "const EXPORTS: [(usize, u64); 3] = {:?};",
@@ -288,6 +319,11 @@ fn snapshot_bytes_bit_identical() {
     let snap = snapshot_run();
     let len = snap.to_bytes().len();
     assert_eq!((snap.fingerprint(), len), SNAPSHOT_N64_K4_E5);
+}
+
+#[test]
+fn snapshot_telemetry_faults_bit_identical() {
+    assert_eq!(snapshot_telemetry_faults(), SNAPSHOT_TELEMETRY_FAULTS);
 }
 
 #[test]

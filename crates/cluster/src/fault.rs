@@ -256,31 +256,9 @@ impl Snapshot for FaultKind {
     }
 }
 
-impl Snapshot for FaultEvent {
-    fn encode(&self, w: &mut Writer) {
-        w.f64(self.at_s);
-        self.kind.encode(w);
-    }
+rhythm_snapshot::snapshot_struct!(FaultEvent { at_s, kind });
 
-    fn decode(r: &mut Reader<'_>) -> Result<Self, SnapshotError> {
-        Ok(FaultEvent {
-            at_s: r.f64()?,
-            kind: Snapshot::decode(r)?,
-        })
-    }
-}
-
-impl Snapshot for FaultPlan {
-    fn encode(&self, w: &mut Writer) {
-        self.events.encode(w);
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, SnapshotError> {
-        Ok(FaultPlan {
-            events: Snapshot::decode(r)?,
-        })
-    }
-}
+rhythm_snapshot::snapshot_struct!(FaultPlan { events });
 
 /// The runner's dynamic fault state, captured in the snapshot's
 /// optional `chaos` section: which plan events have fired and which
@@ -298,19 +276,7 @@ pub struct ChaosState {
 /// Version byte of the `chaos` snapshot section.
 pub const CHAOS_SECTION_VERSION: u8 = 1;
 
-impl Snapshot for ChaosState {
-    fn encode(&self, w: &mut Writer) {
-        w.u64(self.applied);
-        self.down.encode(w);
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, SnapshotError> {
-        Ok(ChaosState {
-            applied: r.u64()?,
-            down: Snapshot::decode(r)?,
-        })
-    }
-}
+rhythm_snapshot::snapshot_struct!(ChaosState { applied, down });
 
 #[cfg(test)]
 mod tests {

@@ -142,11 +142,11 @@ impl rhythm_snapshot::Snapshot for JobState {
             JobState::Queued => w.u8(0),
             JobState::Offered(g) => {
                 w.u8(1);
-                w.u64(*g as u64);
+                g.encode(w);
             }
             JobState::Running(g) => {
                 w.u8(2);
-                w.u64(*g as u64);
+                g.encode(w);
             }
             JobState::Done => w.u8(3),
         }
@@ -155,8 +155,8 @@ impl rhythm_snapshot::Snapshot for JobState {
     fn decode(r: &mut rhythm_snapshot::Reader<'_>) -> Result<Self, rhythm_snapshot::SnapshotError> {
         Ok(match r.u8()? {
             0 => JobState::Queued,
-            1 => JobState::Offered(r.u64()? as usize),
-            2 => JobState::Running(r.u64()? as usize),
+            1 => JobState::Offered(rhythm_snapshot::Snapshot::decode(r)?),
+            2 => JobState::Running(rhythm_snapshot::Snapshot::decode(r)?),
             3 => JobState::Done,
             t => {
                 return Err(rhythm_snapshot::SnapshotError::Corrupt(format!(

@@ -300,23 +300,7 @@ impl rhythm_snapshot::Snapshot for SeqSource {
     }
 }
 
-impl rhythm_snapshot::Snapshot for JobMeta {
-    fn encode(&self, w: &mut rhythm_snapshot::Writer) {
-        w.u8(self.priority);
-        self.deadline_s.encode(w);
-        w.f64(self.enqueued_s);
-        self.key.encode(w);
-    }
-
-    fn decode(r: &mut rhythm_snapshot::Reader<'_>) -> Result<Self, rhythm_snapshot::SnapshotError> {
-        Ok(JobMeta {
-            priority: r.u8()?,
-            deadline_s: rhythm_snapshot::Snapshot::decode(r)?,
-            enqueued_s: r.f64()?,
-            key: rhythm_snapshot::Snapshot::decode(r)?,
-        })
-    }
-}
+rhythm_snapshot::snapshot_struct!(JobMeta { priority, deadline_s, enqueued_s, key });
 
 impl rhythm_snapshot::Snapshot for JobQueue {
     /// The `order` set is derived state (exactly the `Some` keys of

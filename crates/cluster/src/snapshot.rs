@@ -56,21 +56,7 @@ pub struct GangState {
     pub forming: bool,
 }
 
-impl Snapshot for GangState {
-    fn encode(&self, w: &mut Writer) {
-        self.members.encode(w);
-        w.u32(self.patience_left);
-        w.bool(self.forming);
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, SnapshotError> {
-        Ok(GangState {
-            members: Snapshot::decode(r)?,
-            patience_left: r.u32()?,
-            forming: r.bool()?,
-        })
-    }
-}
+rhythm_snapshot::snapshot_struct!(GangState { members, patience_left, forming });
 
 /// One scheduler shard's durable state: its queue slice, outstanding
 /// offers (indexed by `global - range.start`) and instance bindings
@@ -85,21 +71,7 @@ pub struct ShardState {
     pub bindings: BTreeMap<(u64, u64), JobId>,
 }
 
-impl Snapshot for ShardState {
-    fn encode(&self, w: &mut Writer) {
-        self.queue.encode(w);
-        self.offered.encode(w);
-        self.bindings.encode(w);
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, SnapshotError> {
-        Ok(ShardState {
-            queue: Snapshot::decode(r)?,
-            offered: Snapshot::decode(r)?,
-            bindings: Snapshot::decode(r)?,
-        })
-    }
-}
+rhythm_snapshot::snapshot_struct!(ShardState { queue, offered, bindings });
 
 /// The cluster scheduler's full dynamic state at an epoch barrier. The
 /// runner exports this at capture and replays it on resume; everything

@@ -1715,7 +1715,7 @@ impl Snapshot for Ev {
             Ev::PhaseEnd { req, visit } => {
                 w.u8(1);
                 req.encode(w);
-                w.u64(visit as u64);
+                visit.encode(w);
             }
             Ev::Control => w.u8(2),
             Ev::Metrics => w.u8(3),
@@ -1727,7 +1727,7 @@ impl Snapshot for Ev {
             0 => Ev::Arrive,
             1 => Ev::PhaseEnd {
                 req: Snapshot::decode(r)?,
-                visit: r.u64()? as usize,
+                visit: Snapshot::decode(r)?,
             },
             2 => Ev::Control,
             3 => Ev::Metrics,
@@ -1738,29 +1738,26 @@ impl Snapshot for Ev {
 
 impl Snapshot for Visit {
     fn encode(&self, w: &mut Writer) {
-        w.u64(self.node as u64);
-        self.parent
-            .map(|(p, s)| (p as u64, s as u64))
-            .encode(w);
-        let children: Vec<u64> = self.children.iter().map(|&c| c as u64).collect();
-        children.encode(w);
+        self.node.encode(w);
+        self.parent.encode(w);
+        self.children.encode(w);
         w.bool(self.parallel);
-        w.u64(self.phase as u64);
-        w.u64(self.n_phases as u64);
-        w.u64(self.pending_children as u64);
+        self.phase.encode(w);
+        self.n_phases.encode(w);
+        self.pending_children.encode(w);
         self.phase_start.encode(w);
         w.u64(self.sojourn_ns);
         self.phase_rec.encode(w);
     }
 
     fn decode(r: &mut Reader<'_>) -> Result<Self, SnapshotError> {
-        let node = r.u64()? as usize;
-        let parent: Option<(u64, u64)> = Snapshot::decode(r)?;
-        let children: Vec<u64> = Snapshot::decode(r)?;
+        let node = Snapshot::decode(r)?;
+        let parent = Snapshot::decode(r)?;
+        let children: Vec<usize> = Snapshot::decode(r)?;
         let parallel = r.bool()?;
-        let phase = r.u64()? as usize;
-        let n_phases = r.u64()? as usize;
-        let pending_children = r.u64()? as usize;
+        let phase = Snapshot::decode(r)?;
+        let n_phases = Snapshot::decode(r)?;
+        let pending_children: usize = Snapshot::decode(r)?;
         if pending_children > children.len() {
             return Err(SnapshotError::Corrupt(format!(
                 "visit waits on {pending_children} children but has {}",
@@ -1769,8 +1766,8 @@ impl Snapshot for Visit {
         }
         Ok(Visit {
             node,
-            parent: parent.map(|(p, s)| (p as usize, s as usize)),
-            children: children.into_iter().map(|c| c as usize).collect(),
+            parent,
+            children,
             parallel,
             phase,
             n_phases,
@@ -1814,25 +1811,13 @@ impl Snapshot for Request {
     }
 }
 
-impl Snapshot for InflationInputs {
-    fn encode(&self, w: &mut Writer) {
-        w.u64(self.epoch);
-        w.u32(self.lc_mhz);
-        w.u32(self.be_mhz);
-        w.u64(self.be_limit_bits);
-        w.u64(self.rate_bits);
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, SnapshotError> {
-        Ok(InflationInputs {
-            epoch: r.u64()?,
-            lc_mhz: r.u32()?,
-            be_mhz: r.u32()?,
-            be_limit_bits: r.u64()?,
-            rate_bits: r.u64()?,
-        })
-    }
-}
+rhythm_snapshot::snapshot_struct!(InflationInputs {
+    epoch,
+    lc_mhz,
+    be_mhz,
+    be_limit_bits,
+    rate_bits,
+});
 
 impl NodeTables {
     /// Encodes node `i` in the original array-of-structs field order —
@@ -1844,9 +1829,7 @@ impl NodeTables {
     fn encode_node(&self, i: usize, w: &mut Writer) {
         w.u32(self.workers[i]);
         w.u32(self.busy[i]);
-        let queue: Vec<(ReqKey, u64)> =
-            self.queue[i].iter().map(|&(k, v)| (k, v as u64)).collect();
-        queue.encode(w);
+        self.queue[i].encode(w);
         w.f64(self.inflation[i]);
         w.u128(self.settled_area(i));
         self.last_busy_change[i].encode(w);
@@ -1866,7 +1849,7 @@ impl NodeTables {
                 "node claims {busy} busy workers of {workers}"
             )));
         }
-        let queue: Vec<(ReqKey, u64)> = Snapshot::decode(r)?;
+        let queue: VecDeque<(ReqKey, usize)> = Snapshot::decode(r)?;
         let inflation = r.f64()?;
         let busy_area = r.u128()?;
         let last_busy_change: SimTime = Snapshot::decode(r)?;
@@ -1883,7 +1866,7 @@ impl NodeTables {
             )));
         }
         self.busy[i] = busy;
-        self.queue[i] = queue.into_iter().map(|(k, v)| (k, v as usize)).collect();
+        self.queue[i] = queue;
         self.inflation[i] = inflation;
         self.busy_tweight[i] =
             busy as i128 * last_busy_change.as_nanos() as i128 - busy_area as i128;
@@ -1894,79 +1877,22 @@ impl NodeTables {
     }
 }
 
-impl Snapshot for BeProgress {
-    fn encode(&self, w: &mut Writer) {
-        w.str(&self.workload);
-        w.f64(self.done);
-    }
+rhythm_snapshot::snapshot_struct!(BeProgress { workload, done });
 
-    fn decode(r: &mut Reader<'_>) -> Result<Self, SnapshotError> {
-        Ok(BeProgress {
-            workload: r.str()?,
-            done: r.f64()?,
-        })
-    }
-}
+rhythm_snapshot::snapshot_struct!(BeAdmission { machine, instance, workload });
 
-impl Snapshot for BeAdmission {
-    fn encode(&self, w: &mut Writer) {
-        w.u64(self.machine as u64);
-        w.u64(self.instance);
-        w.str(&self.workload);
-    }
+rhythm_snapshot::snapshot_struct!(BeKill { machine, instance, workload, progress });
 
-    fn decode(r: &mut Reader<'_>) -> Result<Self, SnapshotError> {
-        Ok(BeAdmission {
-            machine: r.u64()? as usize,
-            instance: r.u64()?,
-            workload: r.str()?,
-        })
-    }
-}
-
-impl Snapshot for BeKill {
-    fn encode(&self, w: &mut Writer) {
-        w.u64(self.machine as u64);
-        w.u64(self.instance);
-        w.str(&self.workload);
-        w.f64(self.progress);
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, SnapshotError> {
-        Ok(BeKill {
-            machine: r.u64()? as usize,
-            instance: r.u64()?,
-            workload: r.str()?,
-            progress: r.f64()?,
-        })
-    }
-}
-
-impl Snapshot for TimelinePoint {
-    fn encode(&self, w: &mut Writer) {
-        w.f64(self.t_s);
-        w.f64(self.load);
-        w.f64(self.slack);
-        self.cpu_util_pct.encode(w);
-        self.be_llc_ways.encode(w);
-        self.be_cores.encode(w);
-        self.be_instances.encode(w);
-        self.be_throughput.encode(w);
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, SnapshotError> {
-        Ok(TimelinePoint {
-            t_s: r.f64()?,
-            load: r.f64()?,
-            slack: r.f64()?,
-            cpu_util_pct: Snapshot::decode(r)?,
-            be_llc_ways: Snapshot::decode(r)?,
-            be_cores: Snapshot::decode(r)?,
-            be_instances: Snapshot::decode(r)?,
-            be_throughput: Snapshot::decode(r)?,
-        })
-    }
-}
+rhythm_snapshot::snapshot_struct!(TimelinePoint {
+    t_s,
+    load,
+    slack,
+    cpu_util_pct,
+    be_llc_ways,
+    be_cores,
+    be_instances,
+    be_throughput,
+});
 
 /// Structural digest of one machine for snapshot post-mortems
 /// ([`crate::Engine::snapshot_summary`]); rendered by `repro
@@ -2007,51 +1933,24 @@ pub struct EngineSummary {
     pub machines: Vec<EngineMachineSummary>,
 }
 
-impl Snapshot for EngineMachineSummary {
-    fn encode(&self, w: &mut Writer) {
-        w.str(&self.pod);
-        w.u32(self.be_instances);
-        w.u32(self.be_running);
-        w.u32(self.be_cores);
-        w.u32(self.be_llc_ways);
-        w.u32(self.lc_freq_mhz);
-        w.u32(self.be_freq_mhz);
-        w.u64(self.be_started);
-        w.u64(self.be_killed);
-    }
+rhythm_snapshot::snapshot_struct!(EngineMachineSummary {
+    pod,
+    be_instances,
+    be_running,
+    be_cores,
+    be_llc_ways,
+    lc_freq_mhz,
+    be_freq_mhz,
+    be_started,
+    be_killed,
+});
 
-    fn decode(r: &mut Reader<'_>) -> Result<Self, SnapshotError> {
-        Ok(EngineMachineSummary {
-            pod: r.str()?,
-            be_instances: r.u32()?,
-            be_running: r.u32()?,
-            be_cores: r.u32()?,
-            be_llc_ways: r.u32()?,
-            lc_freq_mhz: r.u32()?,
-            be_freq_mhz: r.u32()?,
-            be_started: r.u64()?,
-            be_killed: r.u64()?,
-        })
-    }
-}
-
-impl Snapshot for EngineSummary {
-    fn encode(&self, w: &mut Writer) {
-        w.u64(self.completed_total);
-        w.u64(self.inflight);
-        w.u64(self.pending_events);
-        self.machines.encode(w);
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, SnapshotError> {
-        Ok(EngineSummary {
-            completed_total: r.u64()?,
-            inflight: r.u64()?,
-            pending_events: r.u64()?,
-            machines: Snapshot::decode(r)?,
-        })
-    }
-}
+rhythm_snapshot::snapshot_struct!(EngineSummary {
+    completed_total,
+    inflight,
+    pending_events,
+    machines,
+});
 
 impl Engine {
     /// Serialises the engine's dynamic state. The stream is canonical:

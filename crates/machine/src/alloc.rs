@@ -76,25 +76,7 @@ impl Allocation {
     }
 }
 
-impl rhythm_snapshot::Snapshot for Allocation {
-    fn encode(&self, w: &mut rhythm_snapshot::Writer) {
-        w.u32(self.cores);
-        w.u32(self.llc_ways);
-        w.u64(self.mem_mb);
-        w.f64(self.net_mbps);
-        w.u32(self.freq_mhz);
-    }
-
-    fn decode(r: &mut rhythm_snapshot::Reader<'_>) -> Result<Self, rhythm_snapshot::SnapshotError> {
-        Ok(Allocation {
-            cores: r.u32()?,
-            llc_ways: r.u32()?,
-            mem_mb: r.u64()?,
-            net_mbps: r.f64()?,
-            freq_mhz: r.u32()?,
-        })
-    }
-}
+rhythm_snapshot::snapshot_struct!(Allocation { cores, llc_ways, mem_mb, net_mbps, freq_mhz });
 
 impl Add for Allocation {
     type Output = Allocation;

@@ -561,29 +561,7 @@ impl rhythm_snapshot::Snapshot for BeState {
     }
 }
 
-impl rhythm_snapshot::Snapshot for BeInstance {
-    fn encode(&self, w: &mut rhythm_snapshot::Writer) {
-        w.u64(self.id);
-        w.str(&self.workload);
-        self.alloc.encode(w);
-        self.cpuset.encode(w);
-        self.state.encode(w);
-        w.u8(self.priority);
-        self.saved.encode(w);
-    }
-
-    fn decode(r: &mut rhythm_snapshot::Reader<'_>) -> Result<Self, rhythm_snapshot::SnapshotError> {
-        Ok(BeInstance {
-            id: r.u64()?,
-            workload: r.str()?,
-            alloc: Allocation::decode(r)?,
-            cpuset: CpuSet::decode(r)?,
-            state: BeState::decode(r)?,
-            priority: r.u8()?,
-            saved: Option::<Allocation>::decode(r)?,
-        })
-    }
-}
+rhythm_snapshot::snapshot_struct!(BeInstance { id, workload, alloc, cpuset, state, priority, saved });
 
 impl rhythm_snapshot::Snapshot for Machine {
     /// Context-free encoding of the full machine: spec, LC reservation,

@@ -61,23 +61,12 @@ impl PowerModel {
     }
 }
 
-impl rhythm_snapshot::Snapshot for PowerModel {
-    fn encode(&self, w: &mut rhythm_snapshot::Writer) {
-        w.f64(self.idle_watts);
-        w.f64(self.dynamic_watts_per_core);
-        w.u32(self.max_freq_mhz);
-        w.f64(self.tdp_watts);
-    }
-
-    fn decode(r: &mut rhythm_snapshot::Reader<'_>) -> Result<Self, rhythm_snapshot::SnapshotError> {
-        Ok(PowerModel {
-            idle_watts: r.f64()?,
-            dynamic_watts_per_core: r.f64()?,
-            max_freq_mhz: r.u32()?,
-            tdp_watts: r.f64()?,
-        })
-    }
-}
+rhythm_snapshot::snapshot_struct!(PowerModel {
+    idle_watts,
+    dynamic_watts_per_core,
+    max_freq_mhz,
+    tdp_watts,
+});
 
 #[cfg(test)]
 mod tests {

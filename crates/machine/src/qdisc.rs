@@ -57,19 +57,7 @@ impl Qdisc {
     }
 }
 
-impl rhythm_snapshot::Snapshot for Qdisc {
-    fn encode(&self, w: &mut rhythm_snapshot::Writer) {
-        w.f64(self.link_mbps);
-        w.f64(self.be_limit_mbps);
-    }
-
-    fn decode(r: &mut rhythm_snapshot::Reader<'_>) -> Result<Self, rhythm_snapshot::SnapshotError> {
-        Ok(Qdisc {
-            link_mbps: r.f64()?,
-            be_limit_mbps: r.f64()?,
-        })
-    }
-}
+rhythm_snapshot::snapshot_struct!(Qdisc { link_mbps, be_limit_mbps });
 
 #[cfg(test)]
 mod tests {

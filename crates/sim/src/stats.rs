@@ -147,25 +147,7 @@ impl OnlineStats {
     }
 }
 
-impl rhythm_snapshot::Snapshot for OnlineStats {
-    fn encode(&self, w: &mut rhythm_snapshot::Writer) {
-        w.u64(self.n);
-        w.f64(self.mean);
-        w.f64(self.m2);
-        w.f64(self.min);
-        w.f64(self.max);
-    }
-
-    fn decode(r: &mut rhythm_snapshot::Reader<'_>) -> Result<Self, rhythm_snapshot::SnapshotError> {
-        Ok(OnlineStats {
-            n: r.u64()?,
-            mean: r.f64()?,
-            m2: r.f64()?,
-            min: r.f64()?,
-            max: r.f64()?,
-        })
-    }
-}
+rhythm_snapshot::snapshot_struct!(OnlineStats { n, mean, m2, min, max });
 
 /// Pearson correlation coefficient between two equal-length series
 /// (the paper's Equation 2).

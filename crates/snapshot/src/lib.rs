@@ -304,15 +304,52 @@ impl<'a> Reader<'a> {
 /// Deterministic capture/restore of one value.
 ///
 /// Implementations live in the *defining module* of each state type (so
-/// private fields stay private) and must satisfy the round-trip law
-/// `decode(encode(x)) == x` — property-tested for the stateful types in
-/// `tests/properties.rs`.
+/// private fields stay private); plain structs generate theirs with
+/// [`snapshot_struct!`]. Every implementation must satisfy the
+/// round-trip law `decode(encode(x)) == x` — property-tested for the
+/// stateful types in `tests/properties.rs`.
 pub trait Snapshot: Sized {
     /// Appends this value's bytes to `w`.
     fn encode(&self, w: &mut Writer);
     /// Reads one value back. Must consume exactly the bytes `encode`
     /// wrote.
     fn decode(r: &mut Reader<'_>) -> Result<Self, SnapshotError>;
+}
+
+/// Implements [`Snapshot`] for a plain struct from one ordered field
+/// list: `snapshot_struct!(Type { f1, f2, ... })`.
+///
+/// `encode` destructures `self` exhaustively and encodes each field in
+/// list order; `decode` builds `Type { f1: decode(r)?, ... }`, whose
+/// fields evaluate in the order written. Both halves come from the same
+/// list, so they cannot disagree on order, and a field left out of the
+/// list is a compile error:
+///
+/// ```compile_fail
+/// struct Pair {
+///     a: u32,
+///     b: u64,
+/// }
+/// rhythm_snapshot::snapshot_struct!(Pair { a });
+/// ```
+///
+/// Types whose decode validates or rebuilds derived state keep a
+/// hand-written impl.
+#[macro_export]
+macro_rules! snapshot_struct {
+    ($ty:ident { $($field:ident),+ $(,)? }) => {
+        impl $crate::Snapshot for $ty {
+            fn encode(&self, w: &mut $crate::Writer) {
+                let $ty { $($field),+ } = self;
+                $($crate::Snapshot::encode($field, w);)+
+            }
+            fn decode(
+                r: &mut $crate::Reader<'_>,
+            ) -> ::core::result::Result<Self, $crate::SnapshotError> {
+                ::core::result::Result::Ok($ty { $($field: $crate::Snapshot::decode(r)?),+ })
+            }
+        }
+    };
 }
 
 macro_rules! snapshot_prim {
@@ -339,6 +376,18 @@ snapshot_prim! {
     i64 => i64,
     f64 => f64,
     bool => bool,
+}
+
+/// Written as a `u64`; a value that does not fit this platform's
+/// `usize` is [`SnapshotError::Corrupt`], never a silent truncation.
+impl Snapshot for usize {
+    fn encode(&self, w: &mut Writer) {
+        w.u64(*self as u64);
+    }
+    fn decode(r: &mut Reader<'_>) -> Result<Self, SnapshotError> {
+        let v = r.u64()?;
+        usize::try_from(v).map_err(|_| SnapshotError::Corrupt(format!("usize {v} out of range")))
+    }
 }
 
 impl Snapshot for String {
@@ -417,6 +466,9 @@ impl<K: Snapshot + Ord, V: Snapshot> Snapshot for BTreeMap<K, V> {
         for _ in 0..n {
             let k = K::decode(r)?;
             let v = V::decode(r)?;
+            if out.last_key_value().is_some_and(|(last, _)| *last >= k) {
+                return Err(SnapshotError::Corrupt("BTreeMap keys not strictly ascending".into()));
+            }
             out.insert(k, v);
         }
         Ok(out)
@@ -434,7 +486,11 @@ impl<T: Snapshot + Ord> Snapshot for BTreeSet<T> {
         let n = r.len(1)?;
         let mut out = BTreeSet::new();
         for _ in 0..n {
-            out.insert(T::decode(r)?);
+            let v = T::decode(r)?;
+            if out.last().is_some_and(|last| *last >= v) {
+                return Err(SnapshotError::Corrupt("BTreeSet items not strictly ascending".into()));
+            }
+            out.insert(v);
         }
         Ok(out)
     }
@@ -712,6 +768,74 @@ mod tests {
             Vec::<u64>::decode(&mut Reader::new(&bytes)),
             Err(SnapshotError::Truncated)
         );
+    }
+
+    #[test]
+    fn usize_is_u64_on_the_wire() {
+        round_trip(0usize);
+        round_trip(usize::MAX);
+        let mut w = Writer::new();
+        1234usize.encode(&mut w);
+        assert_eq!(w.into_bytes(), 1234u64.to_le_bytes());
+    }
+
+    #[test]
+    fn duplicate_map_keys_are_corrupt() {
+        let mut w = Writer::new();
+        w.u64(2);
+        (1u64, 10u64).encode(&mut w);
+        (1u64, 20u64).encode(&mut w);
+        let bytes = w.into_bytes();
+        assert!(matches!(
+            BTreeMap::<u64, u64>::decode(&mut Reader::new(&bytes)),
+            Err(SnapshotError::Corrupt(_))
+        ));
+    }
+
+    #[test]
+    fn unsorted_set_items_are_corrupt() {
+        let mut w = Writer::new();
+        w.u64(2);
+        5u64.encode(&mut w);
+        3u64.encode(&mut w);
+        let bytes = w.into_bytes();
+        assert!(matches!(
+            BTreeSet::<u64>::decode(&mut Reader::new(&bytes)),
+            Err(SnapshotError::Corrupt(_))
+        ));
+    }
+
+    #[derive(Debug, PartialEq)]
+    struct Mixed {
+        tag: u8,
+        rate: f64,
+        name: String,
+        cap: Option<u32>,
+        count: usize,
+    }
+
+    snapshot_struct!(Mixed { tag, rate, name, cap, count });
+
+    #[test]
+    fn snapshot_struct_writes_the_hand_written_bytes() {
+        let v = Mixed {
+            tag: 7,
+            rate: -2.5,
+            name: String::from("wordcount"),
+            cap: Some(9),
+            count: 123,
+        };
+        let mut w = Writer::new();
+        v.encode(&mut w);
+        let mut hand = Writer::new();
+        hand.u8(7);
+        hand.f64(-2.5);
+        hand.str("wordcount");
+        hand.u8(1);
+        hand.u32(9);
+        hand.u64(123);
+        assert_eq!(w.into_bytes(), hand.into_bytes());
+        round_trip(v);
     }
 
     #[test]

@@ -82,27 +82,14 @@ impl Trigger {
     }
 }
 
-impl rhythm_snapshot::Snapshot for BeSnapshot {
-    fn encode(&self, w: &mut rhythm_snapshot::Writer) {
-        w.u32(self.instances);
-        w.u32(self.running);
-        w.u32(self.cores);
-        w.u32(self.llc_ways);
-        w.u32(self.freq_mhz);
-        w.u32(self.net_mbps);
-    }
-
-    fn decode(r: &mut rhythm_snapshot::Reader<'_>) -> Result<Self, rhythm_snapshot::SnapshotError> {
-        Ok(BeSnapshot {
-            instances: r.u32()?,
-            running: r.u32()?,
-            cores: r.u32()?,
-            llc_ways: r.u32()?,
-            freq_mhz: r.u32()?,
-            net_mbps: r.u32()?,
-        })
-    }
-}
+rhythm_snapshot::snapshot_struct!(BeSnapshot {
+    instances,
+    running,
+    cores,
+    llc_ways,
+    freq_mhz,
+    net_mbps,
+});
 
 impl rhythm_snapshot::Snapshot for Trigger {
     fn encode(&self, w: &mut rhythm_snapshot::Writer) {
@@ -261,47 +248,24 @@ impl AuditRecord {
     }
 }
 
-impl rhythm_snapshot::Snapshot for AuditRecord {
-    fn encode(&self, w: &mut rhythm_snapshot::Writer) {
-        w.f64(self.t_s);
-        w.u32(self.machine);
-        w.str(&self.pod);
-        self.action.encode(w);
-        self.trigger.encode(w);
-        w.f64(self.load);
-        w.f64(self.loadlimit);
-        w.f64(self.slack);
-        w.f64(self.slacklimit);
-        w.f64(self.tail_ms);
-        w.f64(self.sla_ms);
-        self.hot_pod.encode(w);
-        w.str(&self.hot_pod_name);
-        w.f64(self.hot_pod_ms);
-        self.before.encode(w);
-        self.after.encode(w);
-    }
-
-    fn decode(r: &mut rhythm_snapshot::Reader<'_>) -> Result<Self, rhythm_snapshot::SnapshotError> {
-        Ok(AuditRecord {
-            t_s: r.f64()?,
-            machine: r.u32()?,
-            pod: r.str()?,
-            action: rhythm_snapshot::Snapshot::decode(r)?,
-            trigger: rhythm_snapshot::Snapshot::decode(r)?,
-            load: r.f64()?,
-            loadlimit: r.f64()?,
-            slack: r.f64()?,
-            slacklimit: r.f64()?,
-            tail_ms: r.f64()?,
-            sla_ms: r.f64()?,
-            hot_pod: rhythm_snapshot::Snapshot::decode(r)?,
-            hot_pod_name: r.str()?,
-            hot_pod_ms: r.f64()?,
-            before: rhythm_snapshot::Snapshot::decode(r)?,
-            after: rhythm_snapshot::Snapshot::decode(r)?,
-        })
-    }
-}
+rhythm_snapshot::snapshot_struct!(AuditRecord {
+    t_s,
+    machine,
+    pod,
+    action,
+    trigger,
+    load,
+    loadlimit,
+    slack,
+    slacklimit,
+    tail_ms,
+    sla_ms,
+    hot_pod,
+    hot_pod_name,
+    hot_pod_ms,
+    before,
+    after,
+});
 
 #[cfg(test)]
 mod tests {

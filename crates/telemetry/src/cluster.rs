@@ -116,25 +116,7 @@ impl rhythm_snapshot::Snapshot for ClusterEventKind {
     }
 }
 
-impl rhythm_snapshot::Snapshot for ClusterEvent {
-    fn encode(&self, w: &mut rhythm_snapshot::Writer) {
-        w.f64(self.t_s);
-        self.kind.encode(w);
-        w.u64(self.job);
-        self.gang.encode(w);
-        self.shard.encode(w);
-    }
-
-    fn decode(r: &mut rhythm_snapshot::Reader<'_>) -> Result<Self, rhythm_snapshot::SnapshotError> {
-        Ok(ClusterEvent {
-            t_s: r.f64()?,
-            kind: rhythm_snapshot::Snapshot::decode(r)?,
-            job: r.u64()?,
-            gang: rhythm_snapshot::Snapshot::decode(r)?,
-            shard: rhythm_snapshot::Snapshot::decode(r)?,
-        })
-    }
-}
+rhythm_snapshot::snapshot_struct!(ClusterEvent { t_s, kind, job, gang, shard });
 
 #[cfg(test)]
 mod tests {

@@ -311,19 +311,7 @@ impl rhythm_snapshot::Snapshot for EventKind {
     }
 }
 
-impl rhythm_snapshot::Snapshot for Event {
-    fn encode(&self, w: &mut rhythm_snapshot::Writer) {
-        w.u64(self.t_ns);
-        self.kind.encode(w);
-    }
-
-    fn decode(r: &mut rhythm_snapshot::Reader<'_>) -> Result<Self, rhythm_snapshot::SnapshotError> {
-        Ok(Event {
-            t_ns: r.u64()?,
-            kind: rhythm_snapshot::Snapshot::decode(r)?,
-        })
-    }
-}
+rhythm_snapshot::snapshot_struct!(Event { t_ns, kind });
 
 /// Saturating per-mille encoding of a fraction (used by the Action
 /// event).

@@ -175,23 +175,7 @@ impl FlightRecorder {
     }
 }
 
-impl rhythm_snapshot::Snapshot for TelemetryConfig {
-    fn encode(&self, w: &mut rhythm_snapshot::Writer) {
-        w.bool(self.enabled);
-        w.u64(self.ring_capacity as u64);
-        w.bool(self.audit);
-        w.bool(self.tail);
-    }
-
-    fn decode(r: &mut rhythm_snapshot::Reader<'_>) -> Result<Self, rhythm_snapshot::SnapshotError> {
-        Ok(TelemetryConfig {
-            enabled: r.bool()?,
-            ring_capacity: r.u64()? as usize,
-            audit: r.bool()?,
-            tail: r.bool()?,
-        })
-    }
-}
+rhythm_snapshot::snapshot_struct!(TelemetryConfig { enabled, ring_capacity, audit, tail });
 
 // The ring is serialised raw (slot order, not age order) together with
 // `seq`, so a restored recorder that has already wrapped keeps writing
@@ -200,14 +184,14 @@ impl rhythm_snapshot::Snapshot for TelemetryConfig {
 impl rhythm_snapshot::Snapshot for FlightRecorder {
     fn encode(&self, w: &mut rhythm_snapshot::Writer) {
         w.bool(self.enabled);
-        w.u64(self.cap as u64);
+        self.cap.encode(w);
         w.u64(self.seq);
         self.buf.encode(w);
     }
 
     fn decode(r: &mut rhythm_snapshot::Reader<'_>) -> Result<Self, rhythm_snapshot::SnapshotError> {
         let enabled = r.bool()?;
-        let cap = r.u64()? as usize;
+        let cap: usize = rhythm_snapshot::Snapshot::decode(r)?;
         let seq = r.u64()?;
         let buf: Vec<Event> = rhythm_snapshot::Snapshot::decode(r)?;
         if cap == 0 {
@@ -233,23 +217,7 @@ impl rhythm_snapshot::Snapshot for FlightRecorder {
     }
 }
 
-impl rhythm_snapshot::Snapshot for Telemetry {
-    fn encode(&self, w: &mut rhythm_snapshot::Writer) {
-        self.cfg.encode(w);
-        self.recorder.encode(w);
-        self.audit.encode(w);
-        self.tail.encode(w);
-    }
-
-    fn decode(r: &mut rhythm_snapshot::Reader<'_>) -> Result<Self, rhythm_snapshot::SnapshotError> {
-        Ok(Telemetry {
-            cfg: rhythm_snapshot::Snapshot::decode(r)?,
-            recorder: rhythm_snapshot::Snapshot::decode(r)?,
-            audit: rhythm_snapshot::Snapshot::decode(r)?,
-            tail: rhythm_snapshot::Snapshot::decode(r)?,
-        })
-    }
-}
+rhythm_snapshot::snapshot_struct!(Telemetry { cfg, recorder, audit, tail });
 
 /// The per-engine telemetry bundle: recorder + audit trail + tail
 /// series. The engine owns one and threads it through its event

@@ -138,43 +138,9 @@ impl Default for TailSeries {
     }
 }
 
-impl rhythm_snapshot::Snapshot for TailPoint {
-    fn encode(&self, w: &mut rhythm_snapshot::Writer) {
-        w.f64(self.t_s);
-        w.u64(self.count);
-        w.f64(self.p50_ms);
-        w.f64(self.p95_ms);
-        w.f64(self.p99_ms);
-        w.f64(self.slack);
-    }
+rhythm_snapshot::snapshot_struct!(TailPoint { t_s, count, p50_ms, p95_ms, p99_ms, slack });
 
-    fn decode(r: &mut rhythm_snapshot::Reader<'_>) -> Result<Self, rhythm_snapshot::SnapshotError> {
-        Ok(TailPoint {
-            t_s: r.f64()?,
-            count: r.u64()?,
-            p50_ms: r.f64()?,
-            p95_ms: r.f64()?,
-            p99_ms: r.f64()?,
-            slack: r.f64()?,
-        })
-    }
-}
-
-impl rhythm_snapshot::Snapshot for TailSeries {
-    fn encode(&self, w: &mut rhythm_snapshot::Writer) {
-        self.window.encode(w);
-        self.last_window.encode(w);
-        self.points.encode(w);
-    }
-
-    fn decode(r: &mut rhythm_snapshot::Reader<'_>) -> Result<Self, rhythm_snapshot::SnapshotError> {
-        Ok(TailSeries {
-            window: rhythm_snapshot::Snapshot::decode(r)?,
-            last_window: rhythm_snapshot::Snapshot::decode(r)?,
-            points: rhythm_snapshot::Snapshot::decode(r)?,
-        })
-    }
-}
+rhythm_snapshot::snapshot_struct!(TailSeries { window, last_window, points });
 
 #[cfg(test)]
 mod tests {

@@ -299,39 +299,20 @@ impl rhythm_snapshot::Snapshot for BeKind {
     }
 }
 
-impl rhythm_snapshot::Snapshot for BeSpec {
-    fn encode(&self, w: &mut rhythm_snapshot::Writer) {
-        self.kind.encode(w);
-        w.str(&self.name);
-        w.f64(self.cpu_pressure_per_core);
-        w.f64(self.llc_pressure_per_core);
-        w.f64(self.dram_pressure_per_core);
-        w.f64(self.net_demand_mbps);
-        w.u64(self.mem_mb);
-        w.u32(self.llc_ways_wanted);
-        w.f64(self.cpu_bound);
-        w.f64(self.cache_penalty);
-        w.u32(self.solo_cores);
-        w.f64(self.job_seconds);
-    }
-
-    fn decode(r: &mut rhythm_snapshot::Reader<'_>) -> Result<Self, rhythm_snapshot::SnapshotError> {
-        Ok(BeSpec {
-            kind: BeKind::decode(r)?,
-            name: r.str()?,
-            cpu_pressure_per_core: r.f64()?,
-            llc_pressure_per_core: r.f64()?,
-            dram_pressure_per_core: r.f64()?,
-            net_demand_mbps: r.f64()?,
-            mem_mb: r.u64()?,
-            llc_ways_wanted: r.u32()?,
-            cpu_bound: r.f64()?,
-            cache_penalty: r.f64()?,
-            solo_cores: r.u32()?,
-            job_seconds: r.f64()?,
-        })
-    }
-}
+rhythm_snapshot::snapshot_struct!(BeSpec {
+    kind,
+    name,
+    cpu_pressure_per_core,
+    llc_pressure_per_core,
+    dram_pressure_per_core,
+    net_demand_mbps,
+    mem_mb,
+    llc_ways_wanted,
+    cpu_bound,
+    cache_penalty,
+    solo_cores,
+    job_seconds,
+});
 
 #[cfg(test)]
 mod tests {

@@ -93,20 +93,15 @@ impl ClusterMetrics {
     }
 }
 
-/// How the sharded scheduler carved up one run. Kept **outside**
-/// [`ClusterMetrics`] on purpose: metrics are bit-identical for any
-/// shard count, while these numbers describe the sharding itself (K=1
-/// trivially reports zero steals).
+/// Dispatcher counters of one run. Kept **outside** [`ClusterMetrics`]
+/// on purpose: they describe the dispatcher's work, not the experiment.
 #[derive(Clone, Debug, Default, Serialize, Deserialize)]
 pub struct ShardingReport {
-    /// Scheduler shards the runner used (K).
-    pub shards: usize,
-    /// Jobs placed on a machine outside their home shard (cross-shard
-    /// steals), summed over the run.
+    /// Always 0: the dispatcher is one queue, so no job is ever placed
+    /// outside it. Kept so existing report readers still find the field.
     pub steals: u64,
-    /// Dispatch passes in which at least one shard was skipped outright
-    /// because none of its machines signalled AllowBEGrowth (the
-    /// placement fast path).
+    /// Dispatch passes that found no eligible machine (no machine
+    /// signalled AllowBEGrowth without an outstanding offer).
     pub fast_path_epochs: u64,
 }
 
@@ -115,9 +110,7 @@ pub struct ShardingReport {
 pub struct ClusterOutcome {
     /// Merged cluster metrics.
     pub metrics: ClusterMetrics,
-    /// Shard layout and steal counters of the scheduler ([`ClusterConfig::shards`]).
-    ///
-    /// [`ClusterConfig::shards`]: crate::ClusterConfig::shards
+    /// Dispatcher counters.
     pub sharding: ShardingReport,
     /// Per-replica run metrics (index = replica).
     pub per_replica: Vec<RunMetrics>,

@@ -1,5 +1,4 @@
-//! The parallel epoch-barrier cluster runner, sharded for warehouse
-//! scale.
+//! The parallel epoch-barrier cluster runner.
 //!
 //! Replicas advance **independently** between controller ticks: nothing
 //! couples two engines except the dispatcher, and the dispatcher only
@@ -13,34 +12,16 @@
 //! worker-thread count — determinism is a property of the protocol, not
 //! of luck.
 //!
-//! # Sharding
+//! # Dispatch
 //!
-//! Cluster state is partitioned into K replica-aligned shards
-//! ([`ShardMap`]), each owning its slice of the job queue, outstanding
-//! offers and instance→job bindings. The per-epoch hot path touches
-//! shard-local state: eligibility and placement scores are computed once
-//! per shard per dispatch pass (machines do not change state during a
-//! pass, so scores are cacheable), a shard with no machine signalling
-//! AllowBEGrowth is skipped outright, and shards with nothing queued
-//! contribute nothing to the pop loop.
-//!
-//! Sharding **never changes decisions** — results are bit-identical for
-//! any K, including K=1:
-//!
-//! * All shard queues draw sequence numbers from one shared
-//!   [`SeqSource`], so their [`QueueKey`]s are exactly the keys a single
-//!   global queue would assign; a K-way merge over the shard heads pops
-//!   in exactly global order.
-//! * Placement considers every shard's cached ranking and takes the
-//!   global argmin with the same tie-break as the unsharded placer
-//!   (strictly-smaller score wins, ties keep the lowest global index).
-//! * Shards are contiguous and replica-aligned, so the merge's
-//!   shard-major iteration *is* the old replica-major iteration.
-//!
-//! A job whose global argmin lands outside its home shard (`id % K`) is
-//! *stolen* by the destination shard: the placement is identical to the
-//! unsharded one, the steal is pure bookkeeping ([`ShardingReport`], a
-//! `ShardSteal` telemetry event tagged with the destination shard).
+//! One scheduler serves the whole cluster: one job queue, one offer slot
+//! per machine and one instance→job binding map. All of it is mutated
+//! only at the barrier, so there is no parallelism to partition it for.
+//! The per-epoch cost is kept down per pass instead: eligibility is
+//! computed once per dispatch pass, and placement scores are ranked once
+//! per job spec per pass. Machines do not change state during a pass, so
+//! the cached rankings are exact, and a placement reads the head of a
+//! ranking instead of rescoring every machine.
 //!
 //! Epoch protocol (epoch = controller period, paper: 2 s):
 //!
@@ -53,15 +34,13 @@
 //!    parallel (the controller tick at the boundary is included), then
 //!    syncs its own BE progress to the boundary — still inside the
 //!    parallel phase, since progress accrual is engine-local.
-//! 3. *Merge* — in shard-major (= replica) order bind admissions to
-//!    their offered jobs, roll killed jobs back to their checkpoint and
-//!    requeue them, and retire jobs whose progress reached 1.0. A gang
+//! 3. *Merge* — in replica order bind admissions to their offered jobs,
+//!    roll killed jobs back to their checkpoint and requeue them, and
+//!    retire jobs whose progress reached 1.0. A gang
 //!    lifecycle pass follows: gangs whose members all run are *formed*;
 //!    a killed member — or patience running out while forming — aborts
 //!    the whole gang, rolling every running member back to its
 //!    checkpoint and requeueing the gang.
-//!
-//! [`QueueKey`]: crate::queue::QueueKey
 
 use crate::fault::{ChaosState, FaultKind, FaultPlan};
 use crate::job::{ClusterJob, JobId, JobState};
@@ -69,9 +48,9 @@ use crate::metrics::{
     machine_fingerprints, ClusterMetrics, ClusterOutcome, ClusterTelemetry, ShardingReport,
 };
 use crate::placement::{PlacementPolicy, Placer};
-use crate::queue::{JobQueue, SeqSource};
-use crate::snapshot::{ClusterSnapshot, GangState, SchedulerState, ShardState};
-use crate::state::{global_index, machine_ref, replica_seed, ClusterConfig, ShardMap};
+use crate::queue::JobQueue;
+use crate::snapshot::{ClusterSnapshot, GangState, SchedulerState};
+use crate::state::{global_index, machine_ref, replica_seed, ClusterConfig};
 use rhythm_controller::BeAction;
 use rhythm_core::experiment::{ControllerChoice, ExperimentConfig, ServiceContext};
 use rhythm_core::metrics::RunMetrics;
@@ -175,61 +154,33 @@ struct GangTracker {
     forming: bool,
 }
 
-/// One shard's per-pass placement ranking for one job spec: `(score,
-/// global)` ascending, ties ascending by global index — exactly the
-/// order the unsharded argmin would visit minima in. Machine state is
-/// constant during a dispatch pass (offers apply after the pop loop, a
-/// claimed machine is merely excluded), so scores computed once per pass
-/// are exact, collapsing the old O(jobs × machines) rescoring to
-/// O(specs × machines log machines) per epoch.
+/// The per-pass placement ranking for one job spec: `(score, global)`
+/// over every eligible machine, ascending, ties ascending by global
+/// index. Machine state is constant during a dispatch pass (offers apply
+/// after the pop loop, a claimed machine is merely excluded), so scores
+/// computed once per pass are exact, collapsing O(jobs × machines)
+/// rescoring to O(specs × machines log machines) per epoch.
 struct Ranked {
     order: Vec<(f64, usize)>,
-    /// Entries before this are taken; the head is this shard's current
-    /// best offer for the spec.
+    /// Entries before this are taken; the head is the current best
+    /// offer for the spec.
     cursor: usize,
 }
 
-/// One scheduler shard: a contiguous replica-aligned slice of the
-/// cluster with its own queue, offers, bindings and per-pass placement
-/// cache. All mutation happens at the epoch barrier (single-threaded,
-/// fixed shard-major order).
-struct Shard {
-    /// Global machine range this shard owns.
-    globals: std::ops::Range<usize>,
-    /// This shard's slice of the job backlog (keys drawn from the shared
-    /// [`SeqSource`], so heads are comparable across shards).
-    queue: JobQueue,
-    /// Outstanding offer per machine, indexed by `global - globals.start`.
-    offered: Vec<Option<JobId>>,
-    /// (global machine, instance) → job currently running there.
-    bindings: BTreeMap<(usize, BeInstanceId), JobId>,
-    /// Scratch: machines eligible for new work this dispatch pass
-    /// (AllowBEGrowth, no outstanding offer), ascending global order.
-    eligible: Vec<usize>,
-    /// Scratch: per-spec rankings this dispatch pass (key `""` holds the
-    /// job-independent LeastPressure ranking).
-    ranked: BTreeMap<String, Ranked>,
-}
-
-impl Shard {
-    fn offer_slot(&mut self, g: usize) -> &mut Option<JobId> {
-        &mut self.offered[g - self.globals.start]
-    }
-}
-
-/// All cluster-level scheduling state: the job ledger, the sharded
-/// queues/offers/bindings, the placer and gang trackers. Mutated only at
+/// All cluster-level scheduling state: the job ledger, the queue, the
+/// offers and bindings, the placer and gang trackers. Mutated only at
 /// the epoch barrier (single-threaded, fixed iteration order), so every
-/// decision is deterministic — and, by construction, identical for any
-/// shard count.
+/// decision is deterministic.
 struct Scheduler<'c> {
     cfg: &'c ClusterConfig,
     pods: usize,
-    map: ShardMap,
     jobs: Vec<ClusterJob>,
-    shards: Vec<Shard>,
-    /// Shared sequence counter: keeps shard queue keys globally ordered.
-    seq: SeqSource,
+    /// The backlog awaiting placement.
+    queue: JobQueue,
+    /// Outstanding offer per machine, indexed by global machine.
+    offered: Vec<Option<JobId>>,
+    /// (global machine, instance) → job currently running there.
+    bindings: BTreeMap<(usize, BeInstanceId), JobId>,
     placer: Placer,
     catalog: BTreeMap<String, BeSpec>,
     /// Gang id → tracker, for every gang entry of the plan.
@@ -239,17 +190,20 @@ struct Scheduler<'c> {
     plan: FaultPlan,
     /// Dynamic fault state: plan cursor + the set of down machines.
     chaos: ChaosState,
-    /// Scheduler events (gang lifecycle, deadline misses, steals),
+    /// Scheduler events (gang lifecycle, deadline misses, faults), in
     /// emission order. Only populated when telemetry is enabled.
     events: Vec<ClusterEvent>,
-    /// Jobs placed outside their home shard.
-    steals: u64,
-    /// Dispatch passes in which ≥ 1 shard was skipped (no eligible
-    /// machines).
+    /// Dispatch passes that found no eligible machine.
     fast_path_epochs: u64,
     /// Normalized machine capacity per global index (pure function of
     /// the machine spec; filled on first dispatch).
     caps: Vec<f64>,
+    /// Scratch: machines eligible for new work this dispatch pass
+    /// (AllowBEGrowth, no outstanding offer), ascending global order.
+    eligible: Vec<usize>,
+    /// Scratch: per-spec rankings this dispatch pass (key `""` holds the
+    /// job-independent LeastPressure ranking).
+    ranked: BTreeMap<String, Ranked>,
     /// Scratch, reused across passes: machines claimed this pass…
     taken: Vec<bool>,
     /// …and which entries of `taken` to reset next pass.
@@ -266,10 +220,9 @@ struct Scheduler<'c> {
 
 impl<'c> Scheduler<'c> {
     /// Builds the job ledger from the config's effective plan (gang
-    /// entries expand to their instance count) and queues the work on
-    /// each job's home shard: solitary jobs directly, gangs through
-    /// their first member.
-    fn new(cfg: &'c ClusterConfig, pods: usize, map: ShardMap, managed: bool) -> Scheduler<'c> {
+    /// entries expand to their instance count) and queues the work:
+    /// solitary jobs directly, gangs through their first member.
+    fn new(cfg: &'c ClusterConfig, pods: usize, managed: bool) -> Scheduler<'c> {
         let mut jobs: Vec<ClusterJob> = Vec::new();
         let mut gangs = BTreeMap::new();
         for (entry, spec) in cfg.effective_plan().iter().enumerate() {
@@ -296,23 +249,10 @@ impl<'c> Scheduler<'c> {
                 );
             }
         }
-        let mut shards: Vec<Shard> = (0..map.count())
-            .map(|s| {
-                let globals = map.global_range(s);
-                Shard {
-                    offered: vec![None; globals.len()],
-                    globals,
-                    queue: match cfg.queue_aging_s {
-                        Some(aging) => JobQueue::with_aging(aging),
-                        None => JobQueue::new(),
-                    },
-                    bindings: BTreeMap::new(),
-                    eligible: Vec::new(),
-                    ranked: BTreeMap::new(),
-                }
-            })
-            .collect();
-        let mut seq = SeqSource::new();
+        let mut queue = match cfg.queue_aging_s {
+            Some(aging) => JobQueue::with_aging(aging),
+            None => JobQueue::new(),
+        };
         if managed {
             for j in &jobs {
                 let leads_gang = match j.gang {
@@ -321,25 +261,18 @@ impl<'c> Scheduler<'c> {
                     None => true,
                 };
                 if leads_gang {
-                    let s = seq.back();
-                    shards[map.home_shard(j.id)].queue.submit_with_seq(
-                        j.id,
-                        j.priority,
-                        j.deadline_s,
-                        0.0,
-                        s,
-                    );
+                    queue.submit_with(j.id, j.priority, j.deadline_s, 0.0);
                 }
             }
         }
         Scheduler {
             cfg,
             pods,
-            map,
             taken: vec![false; cfg.machines],
             jobs,
-            shards,
-            seq,
+            queue,
+            offered: vec![None; cfg.machines],
+            bindings: BTreeMap::new(),
             placer: Placer::new(
                 cfg.policy,
                 rhythm_interference::InterferenceModel::calibrated(),
@@ -353,9 +286,10 @@ impl<'c> Scheduler<'c> {
             },
             chaos: ChaosState::default(),
             events: Vec::new(),
-            steals: 0,
             fast_path_epochs: 0,
             caps: Vec::new(),
+            eligible: Vec::new(),
+            ranked: BTreeMap::new(),
             touched: Vec::new(),
             rr: BTreeSet::new(),
             assignments: Vec::new(),
@@ -374,35 +308,34 @@ impl<'c> Scheduler<'c> {
             .collect()
     }
 
+    /// Records a cluster event when telemetry is enabled.
+    fn event(&mut self, t_s: f64, kind: ClusterEventKind, job: u64, gang: Option<u32>) {
+        if self.cfg.telemetry.enabled {
+            self.events.push(ClusterEvent {
+                t_s,
+                kind,
+                job,
+                gang,
+            });
+        }
+    }
+
     /// Marks `jid` finished, recording a deadline-miss event if it
     /// completed past its deadline.
     fn complete(&mut self, jid: JobId, now_s: f64) {
         self.jobs[jid as usize].on_complete(now_s);
         let job = &self.jobs[jid as usize];
-        if self.cfg.telemetry.enabled && job.deadline_missed_at(now_s) {
-            self.events.push(ClusterEvent {
-                t_s: now_s,
-                kind: ClusterEventKind::DeadlineMiss,
-                job: jid,
-                gang: job.gang,
-                shard: None,
-            });
+        if job.deadline_missed_at(now_s) {
+            let gang = job.gang;
+            self.event(now_s, ClusterEventKind::DeadlineMiss, jid, gang);
         }
-    }
-
-    /// Requeues `jid` at the front of its class on its home shard.
-    fn requeue_home(&mut self, jid: JobId, now_s: f64) {
-        let seq = self.seq.front();
-        self.shards[self.map.home_shard(jid)]
-            .queue
-            .requeue_at_seq(jid, now_s, seq);
     }
 
     /// Applies every fault-plan event due at this barrier, in plan
     /// order. Runs single-threaded at the top of the epoch (before
     /// dispatch), so fault application is as deterministic as every
     /// other barrier mutation: same plan + same seed → same outcome
-    /// for any shard count and any worker-thread count.
+    /// for any worker-thread count.
     fn apply_faults(&mut self, engines: &mut [MutexGuard<'_, Engine>], now_s: f64) {
         while (self.chaos.applied as usize) < self.plan.events.len() {
             let ev = &self.plan.events[self.chaos.applied as usize];
@@ -412,15 +345,7 @@ impl<'c> Scheduler<'c> {
             let idx = self.chaos.applied;
             let kind = ev.kind.clone();
             self.chaos.applied += 1;
-            if self.cfg.telemetry.enabled {
-                self.events.push(ClusterEvent {
-                    t_s: now_s,
-                    kind: ClusterEventKind::FaultInjected,
-                    job: idx,
-                    gang: None,
-                    shard: None,
-                });
-            }
+            self.event(now_s, ClusterEventKind::FaultInjected, idx, None);
             match kind {
                 FaultKind::MachineCrash { machine } => {
                     self.crash_machine(machine as usize, engines, now_s);
@@ -453,20 +378,19 @@ impl<'c> Scheduler<'c> {
         if !self.chaos.down.insert(g as u64) {
             return; // already down
         }
-        let si = self.map.shard_of_global(g);
         let r = machine_ref(g, self.pods);
-        if let Some(jid) = self.shards[si].offer_slot(g).take() {
+        if let Some(jid) = self.offered[g].take() {
             engines[r.replica].set_be_offer(r.pod, None);
             self.jobs[jid as usize].state = JobState::Queued;
-            // A solitary job goes straight back to its queue; a forming
+            // A solitary job goes straight back to the queue; a forming
             // gang keeps waiting on its patience budget and the gang
             // pass aborts (and requeues) it when that runs out.
             if self.jobs[jid as usize].gang.is_none() {
-                self.requeue_home(jid, now_s);
+                self.queue.requeue_at(jid, now_s);
             }
         }
         let range = (g, BeInstanceId::MIN)..(g + 1, BeInstanceId::MIN);
-        let bound: Vec<(BeInstanceId, JobId)> = self.shards[si]
+        let bound: Vec<(BeInstanceId, JobId)> = self
             .bindings
             .range(range)
             .map(|(&(_, inst), &jid)| (inst, jid))
@@ -477,7 +401,7 @@ impl<'c> Scheduler<'c> {
             // so the rollback banks exactly what ran.
             let progress = engines[r.replica].be_progress(r.pod, inst).unwrap_or(0.0);
             engines[r.replica].remove_be(r.pod, inst);
-            self.shards[si].bindings.remove(&(g, inst));
+            self.bindings.remove(&(g, inst));
             if self.jobs[jid as usize].total_progress(progress) >= 1.0 {
                 self.complete(jid, now_s);
             } else {
@@ -487,22 +411,14 @@ impl<'c> Scheduler<'c> {
                     Some(gid) => {
                         dirty_gangs.insert(gid);
                     }
-                    None => self.requeue_home(jid, now_s),
+                    None => self.queue.requeue_at(jid, now_s),
                 }
             }
         }
         for gid in dirty_gangs {
             self.abort_gang(gid, engines, now_s);
         }
-        if self.cfg.telemetry.enabled {
-            self.events.push(ClusterEvent {
-                t_s: now_s,
-                kind: ClusterEventKind::MachineDown,
-                job: g as u64,
-                gang: None,
-                shard: Some(si as u32),
-            });
-        }
+        self.event(now_s, ClusterEventKind::MachineDown, g as u64, None);
     }
 
     /// Brings machine `g` back: removes it from the down set and
@@ -513,15 +429,7 @@ impl<'c> Scheduler<'c> {
         let r = machine_ref(g, self.pods);
         let max = engines[r.replica].lc_max_mhz(r.pod);
         engines[r.replica].set_lc_frequency(r.pod, max);
-        if self.cfg.telemetry.enabled {
-            self.events.push(ClusterEvent {
-                t_s: now_s,
-                kind: ClusterEventKind::MachineUp,
-                job: g as u64,
-                gang: None,
-                shard: Some(self.map.shard_of_global(g) as u32),
-            });
-        }
+        self.event(now_s, ClusterEventKind::MachineUp, g as u64, None);
     }
 
     /// Epoch step 1: withdraw unconsumed solitary offers, then place
@@ -532,28 +440,23 @@ impl<'c> Scheduler<'c> {
     /// Runs on the main thread while the workers are parked at the epoch
     /// barrier, so the engine locks are uncontended.
     fn dispatch(&mut self, engines: &mut [MutexGuard<'_, Engine>], now_s: f64) {
-        for sh in &mut self.shards {
-            sh.queue.age(now_s);
-        }
+        self.queue.age(now_s);
         // Withdraw offers the controllers did not consume last epoch, in
         // reverse global order so the requeue-to-front restores the
         // original relative order. Offers of forming gangs stay out —
         // their patience counter bounds the wait instead.
-        for si in (0..self.shards.len()).rev() {
-            let lo = self.shards[si].globals.start;
-            for slot in (0..self.shards[si].offered.len()).rev() {
-                let Some(jid) = self.shards[si].offered[slot] else {
-                    continue;
-                };
-                if self.jobs[jid as usize].gang.is_some() {
-                    continue;
-                }
-                self.shards[si].offered[slot] = None;
-                let r = machine_ref(lo + slot, self.pods);
-                engines[r.replica].set_be_offer(r.pod, None);
-                self.jobs[jid as usize].state = JobState::Queued;
-                self.requeue_home(jid, now_s);
+        for g in (0..self.offered.len()).rev() {
+            let Some(jid) = self.offered[g] else {
+                continue;
+            };
+            if self.jobs[jid as usize].gang.is_some() {
+                continue;
             }
+            self.offered[g] = None;
+            let r = machine_ref(g, self.pods);
+            engines[r.replica].set_be_offer(r.pod, None);
+            self.jobs[jid as usize].state = JobState::Queued;
+            self.queue.requeue_at(jid, now_s);
         }
         // Capacity is a pure function of the machine spec: fill the
         // cache once and never touch `Machine` for it again.
@@ -565,33 +468,26 @@ impl<'c> Scheduler<'c> {
                 })
                 .collect();
         }
-        // Eligibility, once per pass per shard. Offers and controller
-        // signals do not change inside a pass, so this — and every score
-        // derived from it — stays valid until the pass ends. A shard
-        // with nothing eligible is skipped by every lookup below.
-        let mut any_skipped = false;
-        for sh in &mut self.shards {
-            sh.eligible.clear();
-            sh.ranked.clear();
-            for g in sh.globals.clone() {
-                if sh.offered[g - sh.globals.start].is_none()
-                    && (self.chaos.down.is_empty() || !self.chaos.down.contains(&(g as u64)))
-                    && allows_growth(engines, g, self.pods)
-                {
-                    sh.eligible.push(g);
-                }
+        // Eligibility, once per pass. Offers and controller signals do
+        // not change inside a pass, so this — and every score derived
+        // from it — stays valid until the pass ends.
+        self.eligible.clear();
+        self.ranked.clear();
+        for g in 0..self.cfg.machines {
+            if self.offered[g].is_none()
+                && (self.chaos.down.is_empty() || !self.chaos.down.contains(&(g as u64)))
+                && allows_growth(engines, g, self.pods)
+            {
+                self.eligible.push(g);
             }
-            any_skipped |= sh.eligible.is_empty();
         }
-        if any_skipped {
+        if self.eligible.is_empty() {
             self.fast_path_epochs += 1;
         }
         let rr_policy = self.placer.policy() == PlacementPolicy::RoundRobin;
         self.rr.clear();
         if rr_policy {
-            for sh in &self.shards {
-                self.rr.extend(sh.eligible.iter().copied());
-            }
+            self.rr.extend(self.eligible.iter().copied());
         }
         let mut rr_cursor = self.placer.cursor();
         for &g in &self.touched {
@@ -602,16 +498,8 @@ impl<'c> Scheduler<'c> {
         let mut chosen = std::mem::take(&mut self.chosen);
         let mut peer_caps = std::mem::take(&mut self.peer_caps);
         assignments.clear();
-        // Pop queued work in global key order (K-way merge over the
-        // shard heads) while eligible machines remain.
-        while let Some(home) = (0..self.shards.len())
-            .filter_map(|s| self.shards[s].queue.peek_key().map(|k| (k, s)))
-            .min()
-            .map(|(_, s)| s)
-        {
-            // PANIC: `home` was selected because its peek returned Some,
-            // and nothing popped between the peek and here.
-            let jid = self.shards[home].queue.pop().expect("peeked head pops");
+        // Pop queued work in key order while eligible machines remain.
+        while let Some(jid) = self.queue.pop() {
             let members: Vec<JobId> = match self.jobs[jid as usize].gang {
                 Some(gid) => self.live_members(gid),
                 None => vec![jid],
@@ -622,7 +510,7 @@ impl<'c> Scheduler<'c> {
             for _ in 0..members.len() {
                 let pick = if rr_policy {
                     // First eligible machine at or after the cursor,
-                    // wrapping — the unsharded rotation exactly.
+                    // wrapping.
                     let p = self
                         .rr
                         .range(rr_cursor..)
@@ -635,17 +523,7 @@ impl<'c> Scheduler<'c> {
                     }
                     p
                 } else {
-                    pick_scored(
-                        &mut self.shards,
-                        &self.placer,
-                        &spec,
-                        &peer_caps,
-                        &self.taken,
-                        &self.caps,
-                        &self.catalog,
-                        engines,
-                        self.pods,
-                    )
+                    self.pick_scored(&spec, &peer_caps, engines)
                 };
                 match pick {
                     Some(g) => {
@@ -664,7 +542,7 @@ impl<'c> Scheduler<'c> {
                 for &g in &chosen {
                     self.taken[g] = false;
                 }
-                self.requeue_home(jid, now_s);
+                self.queue.requeue_at(jid, now_s);
                 break;
             }
             for (&g, &m) in chosen.iter().zip(&members) {
@@ -679,31 +557,96 @@ impl<'c> Scheduler<'c> {
         }
         self.placer.set_cursor(rr_cursor);
         for &(g, jid) in &assignments {
-            let dest = self.map.shard_of_global(g);
-            *self.shards[dest].offer_slot(g) = Some(jid);
+            self.offered[g] = Some(jid);
             self.jobs[jid as usize].state = JobState::Offered(g);
             let spec = Arc::clone(&self.jobs[jid as usize].spec);
             let priority = self.jobs[jid as usize].priority;
             let r = machine_ref(g, self.pods);
             engines[r.replica].set_be_offer(r.pod, Some((spec, priority)));
-            if dest != self.map.home_shard(jid) {
-                // Placed outside its home shard: identical decision to
-                // the unsharded argmin, recorded as a steal.
-                self.steals += 1;
-                if self.cfg.telemetry.enabled {
-                    self.events.push(ClusterEvent {
-                        t_s: now_s,
-                        kind: ClusterEventKind::ShardSteal,
-                        job: jid,
-                        gang: self.jobs[jid as usize].gang,
-                        shard: Some(dest as u32),
-                    });
-                }
-            }
         }
         self.assignments = assignments;
         self.chosen = chosen;
         self.peer_caps = peer_caps;
+    }
+
+    /// The best unclaimed eligible machine for `spec`: the lowest score,
+    /// ties to the lowest global index. The ranking for `spec` is built
+    /// lazily, once per pass.
+    fn pick_scored(
+        &mut self,
+        spec: &BeSpec,
+        peer_caps: &[f64],
+        engines: &[MutexGuard<'_, Engine>],
+    ) -> Option<usize> {
+        let Scheduler {
+            placer,
+            eligible,
+            ranked,
+            taken,
+            caps,
+            catalog,
+            pods,
+            ..
+        } = self;
+        let policy = placer.policy();
+        // LeastPressure ignores the job entirely: one shared ranking.
+        let key: &str = if policy == PlacementPolicy::LeastPressure {
+            ""
+        } else {
+            &spec.name
+        };
+        if !ranked.contains_key(key) {
+            let mut order: Vec<(f64, usize)> = Vec::with_capacity(eligible.len());
+            for &g in eligible.iter() {
+                let r = machine_ref(g, *pods);
+                let machine = engines[r.replica].machine(r.pod);
+                let component = &engines[r.replica].service().nodes[r.pod].component;
+                let s = match policy {
+                    PlacementPolicy::LeastPressure => Placer::pressure_score(machine, catalog),
+                    PlacementPolicy::InterferenceScore => {
+                        placer.score_on(spec, component, machine, catalog)
+                    }
+                    PlacementPolicy::HeteroAware => {
+                        placer.hetero_base(spec, component, machine, catalog)
+                    }
+                    PlacementPolicy::RoundRobin => unreachable!("RR uses the rotation set"),
+                };
+                order.push((s, g));
+            }
+            // Scores are finite and non-negative (pressures, inflations
+            // and capacities all are), so total_cmp is the plain `<`
+            // order here; ties keep ascending global.
+            order.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+            ranked.insert(key.to_string(), Ranked { order, cursor: 0 });
+        }
+        // PANIC: the branch above inserted this key when it was absent.
+        let ranked = ranked.get_mut(key).expect("ranking just built");
+        if policy == PlacementPolicy::HeteroAware && !peer_caps.is_empty() {
+            // Gang context shifts every machine's score by its own
+            // capacity-mismatch penalty, which reorders arbitrarily:
+            // scan the cached bases (skipping claimed machines) with an
+            // explicit (score, global) tie-break.
+            let peer_mean = peer_caps.iter().sum::<f64>() / peer_caps.len() as f64;
+            let mut best: Option<(f64, usize)> = None;
+            for &(base, g) in &ranked.order {
+                if taken[g] {
+                    continue;
+                }
+                let s = base + Placer::STRAGGLER_WEIGHT * (caps[g] - peer_mean).abs();
+                match best {
+                    Some((bs, bg)) if !(s < bs || (s == bs && g < bg)) => {}
+                    _ => best = Some((s, g)),
+                }
+            }
+            return best.map(|(_, g)| g);
+        }
+        // Head of the ranking, skipping machines claimed earlier in the
+        // pass (claims never revert mid-pass, so the cursor only moves
+        // forward).
+        while ranked.cursor < ranked.order.len() && taken[ranked.order[ranked.cursor].1] {
+            ranked.cursor += 1;
+        }
+        ranked.order.get(ranked.cursor).map(|&(_, g)| g)
     }
 
     /// Epoch step 3: the deterministic merge at the barrier. Every
@@ -714,60 +657,52 @@ impl<'c> Scheduler<'c> {
     fn merge(&mut self, engines: &mut [MutexGuard<'_, Engine>], now: SimTime) {
         let now_s = now.as_secs_f64();
         let mut dirty_gangs: BTreeSet<u32> = BTreeSet::new();
-        // Shard-major, replicas ascending within each shard — shards are
-        // contiguous and replica-aligned, so this is exactly the old
-        // replica-major order.
-        for si in 0..self.shards.len() {
-            for r in self.map.replica_range(si) {
-                let engine = &mut engines[r];
-                // Admissions: bind each new instance to the job offered
-                // to its machine.
-                for adm in engine.take_be_admissions() {
-                    let g = global_index(r, adm.machine, self.pods);
-                    if let Some(jid) = self.shards[si].offer_slot(g).take() {
-                        self.shards[si].bindings.insert((g, adm.instance), jid);
-                        self.jobs[jid as usize].state = JobState::Running(g);
-                        engine.set_be_offer(adm.machine, None);
-                    }
+        for (r, engine) in engines.iter_mut().enumerate() {
+            // Admissions: bind each new instance to the job offered to
+            // its machine.
+            for adm in engine.take_be_admissions() {
+                let g = global_index(r, adm.machine, self.pods);
+                if let Some(jid) = self.offered[g].take() {
+                    self.bindings.insert((g, adm.instance), jid);
+                    self.jobs[jid as usize].state = JobState::Running(g);
+                    engine.set_be_offer(adm.machine, None);
                 }
-                // Kills: roll back to the checkpoint and requeue — unless
-                // the instance had in fact already finished the job by
-                // kill time. A killed gang member marks its gang for the
-                // abort pass.
-                for kill in engine.take_be_kills() {
-                    let g = global_index(r, kill.machine, self.pods);
-                    if let Some(jid) = self.shards[si].bindings.remove(&(g, kill.instance)) {
-                        if self.jobs[jid as usize].total_progress(kill.progress) >= 1.0 {
-                            self.complete(jid, now_s);
-                        } else {
-                            let job = &mut self.jobs[jid as usize];
-                            job.on_kill(kill.progress, self.cfg.checkpoint_fraction);
-                            match job.gang {
-                                Some(gid) => {
-                                    dirty_gangs.insert(gid);
-                                }
-                                None => self.requeue_home(jid, now_s),
+            }
+            // Kills: roll back to the checkpoint and requeue — unless the
+            // instance had in fact already finished the job by kill time.
+            // A killed gang member marks its gang for the abort pass.
+            for kill in engine.take_be_kills() {
+                let g = global_index(r, kill.machine, self.pods);
+                if let Some(jid) = self.bindings.remove(&(g, kill.instance)) {
+                    if self.jobs[jid as usize].total_progress(kill.progress) >= 1.0 {
+                        self.complete(jid, now_s);
+                    } else {
+                        let job = &mut self.jobs[jid as usize];
+                        job.on_kill(kill.progress, self.cfg.checkpoint_fraction);
+                        match job.gang {
+                            Some(gid) => {
+                                dirty_gangs.insert(gid);
                             }
+                            None => self.queue.requeue_at(jid, now_s),
                         }
                     }
                 }
-                // Completions: retire bound instances whose job reached
-                // 1.0.
-                let lo = (global_index(r, 0, self.pods), BeInstanceId::MIN);
-                let hi = (global_index(r + 1, 0, self.pods), BeInstanceId::MIN);
-                let bound: Vec<(usize, BeInstanceId, JobId)> = self.shards[si]
-                    .bindings
-                    .range(lo..hi)
-                    .map(|(&(g, inst), &jid)| (g, inst, jid))
-                    .collect();
-                for (g, inst, jid) in bound {
-                    let pod = machine_ref(g, self.pods).pod;
-                    let done = engine.be_progress(pod, inst).unwrap_or(0.0);
-                    if self.jobs[jid as usize].total_progress(done) >= 1.0 {
-                        engine.remove_be(pod, inst);
-                        self.complete(jid, now_s);
-                        self.shards[si].bindings.remove(&(g, inst));
-                    }
+            }
+            // Completions: retire bound instances whose job reached 1.0.
+            let lo = (global_index(r, 0, self.pods), BeInstanceId::MIN);
+            let hi = (global_index(r + 1, 0, self.pods), BeInstanceId::MIN);
+            let bound: Vec<(usize, BeInstanceId, JobId)> = self
+                .bindings
+                .range(lo..hi)
+                .map(|(&(g, inst), &jid)| (g, inst, jid))
+                .collect();
+            for (g, inst, jid) in bound {
+                let pod = machine_ref(g, self.pods).pod;
+                let done = engine.be_progress(pod, inst).unwrap_or(0.0);
+                if self.jobs[jid as usize].total_progress(done) >= 1.0 {
+                    engine.remove_be(pod, inst);
+                    self.complete(jid, now_s);
+                    self.bindings.remove(&(g, inst));
                 }
             }
         }
@@ -799,15 +734,8 @@ impl<'c> Scheduler<'c> {
             {
                 // PANIC: every gang id is registered in `gangs` at submission.
                 self.gangs.get_mut(&gid).expect("gang tracked").forming = false;
-                if self.cfg.telemetry.enabled {
-                    self.events.push(ClusterEvent {
-                        t_s: now_s,
-                        kind: ClusterEventKind::GangFormed,
-                        job: live.first().copied().unwrap_or_default(),
-                        gang: Some(gid),
-                        shard: None,
-                    });
-                }
+                let leader = live.first().copied().unwrap_or_default();
+                self.event(now_s, ClusterEventKind::GangFormed, leader, Some(gid));
             } else {
                 // PANIC: every gang id is registered in `gangs` at submission.
                 let tracker = self.gangs.get_mut(&gid).expect("gang tracked");
@@ -828,16 +756,14 @@ impl<'c> Scheduler<'c> {
         for &m in &live {
             match self.jobs[m as usize].state {
                 JobState::Offered(g) => {
-                    let si = self.map.shard_of_global(g);
-                    *self.shards[si].offer_slot(g) = None;
+                    self.offered[g] = None;
                     let r = machine_ref(g, self.pods);
                     engines[r.replica].set_be_offer(r.pod, None);
                     self.jobs[m as usize].state = JobState::Queued;
                 }
                 JobState::Running(g) => {
-                    let si = self.map.shard_of_global(g);
                     let range = (g, BeInstanceId::MIN)..(g + 1, BeInstanceId::MIN);
-                    let inst = self.shards[si]
+                    let inst = self
                         .bindings
                         .range(range)
                         .find(|&(_, &jid)| jid == m)
@@ -848,7 +774,7 @@ impl<'c> Scheduler<'c> {
                         // merge, so the rollback banks exactly what ran.
                         let progress = engines[r.replica].be_progress(r.pod, inst).unwrap_or(0.0);
                         engines[r.replica].remove_be(r.pod, inst);
-                        self.shards[si].bindings.remove(&(g, inst));
+                        self.bindings.remove(&(g, inst));
                         self.jobs[m as usize].on_kill(progress, self.cfg.checkpoint_fraction);
                     }
                 }
@@ -865,26 +791,10 @@ impl<'c> Scheduler<'c> {
             // the queue.
             let job = &self.jobs[leader as usize];
             let (priority, deadline_s, submitted_s) = (job.priority, job.deadline_s, job.submitted_s);
-            self.shards[self.map.home_shard(leader)]
-                .queue
-                .adopt(leader, priority, deadline_s, submitted_s);
-            self.requeue_home(leader, now_s);
-            if self.cfg.telemetry.enabled {
-                self.events.push(ClusterEvent {
-                    t_s: now_s,
-                    kind: ClusterEventKind::GangAborted,
-                    job: leader,
-                    gang: Some(gid),
-                    shard: None,
-                });
-            }
+            self.queue.adopt(leader, priority, deadline_s, submitted_s);
+            self.queue.requeue_at(leader, now_s);
+            self.event(now_s, ClusterEventKind::GangAborted, leader, Some(gid));
         }
-    }
-
-    /// Queue requeues summed over shards (one shared [`SeqSource`], so
-    /// the sum equals the single-queue count).
-    fn requeues(&self) -> u64 {
-        self.shards.iter().map(|s| s.queue.requeue_count()).sum()
     }
 
     /// Exports the scheduler's dynamic state. Caches (`caps`, rankings,
@@ -893,20 +803,13 @@ impl<'c> Scheduler<'c> {
     fn export_state(&self) -> SchedulerState {
         SchedulerState {
             jobs: self.jobs.clone(),
-            shards: self
-                .shards
+            queue: self.queue.clone(),
+            offered: self.offered.clone(),
+            bindings: self
+                .bindings
                 .iter()
-                .map(|sh| ShardState {
-                    queue: sh.queue.clone(),
-                    offered: sh.offered.clone(),
-                    bindings: sh
-                        .bindings
-                        .iter()
-                        .map(|(&(g, inst), &jid)| ((g as u64, inst), jid))
-                        .collect(),
-                })
+                .map(|(&(g, inst), &jid)| ((g as u64, inst), jid))
                 .collect(),
-            seq: self.seq,
             rr_cursor: self.placer.cursor() as u64,
             gangs: self
                 .gangs
@@ -921,16 +824,16 @@ impl<'c> Scheduler<'c> {
                 })
                 .collect(),
             events: self.events.clone(),
-            steals: self.steals,
             fast_path_epochs: self.fast_path_epochs,
         }
     }
 
     /// Replays captured dynamic state into a freshly built scheduler.
-    /// The plan-derived structure (job ledger shape, shard layout, gang
+    /// The plan-derived structure (job ledger shape, machine count, gang
     /// roster) must match what `Scheduler::new` built from the config;
     /// state that contradicts it is refused rather than applied.
     fn restore_state(&mut self, st: &SchedulerState) -> Result<(), SnapshotError> {
+        st.validate()?;
         if st.jobs.len() != self.jobs.len() {
             return Err(SnapshotError::Corrupt(format!(
                 "snapshot ledgers {} jobs, the config's plan produces {}",
@@ -946,11 +849,11 @@ impl<'c> Scheduler<'c> {
                 )));
             }
         }
-        if st.shards.len() != self.shards.len() {
+        if st.offered.len() != self.offered.len() {
             return Err(SnapshotError::Corrupt(format!(
-                "snapshot carries {} shard states, the runner built {}",
-                st.shards.len(),
-                self.shards.len()
+                "snapshot offers cover {} machines, the cluster has {}",
+                st.offered.len(),
+                self.offered.len()
             )));
         }
         let gangs_match = st.gangs.len() == self.gangs.len()
@@ -964,33 +867,14 @@ impl<'c> Scheduler<'c> {
                 "snapshot gang roster differs from the config's job plan".into(),
             ));
         }
-        for (si, (sh, shs)) in self.shards.iter_mut().zip(&st.shards).enumerate() {
-            if shs.offered.len() != sh.offered.len() {
-                return Err(SnapshotError::Corrupt(format!(
-                    "shard {si} offers cover {} machines, its layout has {}",
-                    shs.offered.len(),
-                    sh.offered.len()
-                )));
-            }
-            for &(g, _inst) in shs.bindings.keys() {
-                if !sh.globals.contains(&(g as usize)) {
-                    return Err(SnapshotError::Corrupt(format!(
-                        "shard {si} binds machine {g}, outside its global range"
-                    )));
-                }
-            }
-        }
-        for (sh, shs) in self.shards.iter_mut().zip(&st.shards) {
-            sh.queue = shs.queue.clone();
-            sh.offered = shs.offered.clone();
-            sh.bindings = shs
-                .bindings
-                .iter()
-                .map(|(&(g, inst), &jid)| ((g as usize, inst), jid))
-                .collect();
-        }
+        self.queue = st.queue.clone();
+        self.offered = st.offered.clone();
+        self.bindings = st
+            .bindings
+            .iter()
+            .map(|(&(g, inst), &jid)| ((g as usize, inst), jid))
+            .collect();
         self.jobs = st.jobs.clone();
-        self.seq = st.seq;
         self.placer.set_cursor(st.rr_cursor as usize);
         for (gid, gs) in &st.gangs {
             // PANIC: restore_state validated st.gangs against the roster.
@@ -999,7 +883,6 @@ impl<'c> Scheduler<'c> {
             t.forming = gs.forming;
         }
         self.events = st.events.clone();
-        self.steals = st.steals;
         self.fast_path_epochs = st.fast_path_epochs;
         Ok(())
     }
@@ -1022,7 +905,6 @@ impl<'c> Scheduler<'c> {
             machines: self.cfg.machines as u64,
             pods: self.pods as u64,
             replicas: engines.len() as u64,
-            shards: self.map.count() as u64,
             seed: self.cfg.seed,
             duration_s: self.cfg.duration_s,
             controller_period_ms: self.cfg.controller_period_ms,
@@ -1044,96 +926,6 @@ impl<'c> Scheduler<'c> {
             }),
         }
     }
-}
-
-/// The global argmin over every shard's cached ranking for `spec`, with
-/// the unsharded tie-break (strictly-smaller score wins; equal scores
-/// keep the lowest global index). Rankings are built lazily, once per
-/// shard per spec per pass; shards with no eligible machine cost
-/// nothing.
-#[allow(clippy::too_many_arguments)]
-fn pick_scored(
-    shards: &mut [Shard],
-    placer: &Placer,
-    spec: &BeSpec,
-    peer_caps: &[f64],
-    taken: &[bool],
-    caps: &[f64],
-    catalog: &BTreeMap<String, BeSpec>,
-    engines: &[MutexGuard<'_, Engine>],
-    pods: usize,
-) -> Option<usize> {
-    let policy = placer.policy();
-    // LeastPressure ignores the job entirely: one shared ranking.
-    let key: &str = if policy == PlacementPolicy::LeastPressure {
-        ""
-    } else {
-        &spec.name
-    };
-    let peered = policy == PlacementPolicy::HeteroAware && !peer_caps.is_empty();
-    let peer_mean = peer_caps.iter().sum::<f64>() / peer_caps.len().max(1) as f64;
-    let mut best: Option<(f64, usize)> = None;
-    let better = |best: &mut Option<(f64, usize)>, s: f64, g: usize| match *best {
-        None => *best = Some((s, g)),
-        Some((bs, bg)) if s < bs || (s == bs && g < bg) => *best = Some((s, g)),
-        _ => {}
-    };
-    for sh in shards.iter_mut() {
-        if sh.eligible.is_empty() {
-            continue;
-        }
-        if !sh.ranked.contains_key(key) {
-            let mut order: Vec<(f64, usize)> = Vec::with_capacity(sh.eligible.len());
-            for &g in &sh.eligible {
-                let r = machine_ref(g, pods);
-                let machine = engines[r.replica].machine(r.pod);
-                let component = &engines[r.replica].service().nodes[r.pod].component;
-                let s = match policy {
-                    PlacementPolicy::LeastPressure => Placer::pressure_score(machine, catalog),
-                    PlacementPolicy::InterferenceScore => {
-                        placer.score_on(spec, component, machine, catalog)
-                    }
-                    PlacementPolicy::HeteroAware => {
-                        placer.hetero_base(spec, component, machine, catalog)
-                    }
-                    PlacementPolicy::RoundRobin => unreachable!("RR uses the rotation set"),
-                };
-                order.push((s, g));
-            }
-            // Scores are finite and non-negative (pressures, inflations
-            // and capacities all are), so total_cmp is the plain `<`
-            // order here; ties keep ascending global.
-            order.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-            sh.ranked.insert(key.to_string(), Ranked { order, cursor: 0 });
-        }
-        // PANIC: the branch above inserted this key when it was absent.
-        let ranked = sh.ranked.get_mut(key).expect("ranking just built");
-        if peered {
-            // Gang context shifts every machine's score by its own
-            // capacity-mismatch penalty, which reorders arbitrarily:
-            // scan the cached bases (skipping claimed machines). The
-            // explicit (score, global) tie-break makes the scan order
-            // irrelevant.
-            for &(base, g) in &ranked.order {
-                if taken[g] {
-                    continue;
-                }
-                let s = base + Placer::STRAGGLER_WEIGHT * (caps[g] - peer_mean).abs();
-                better(&mut best, s, g);
-            }
-        } else {
-            // Head of the ranking, skipping machines claimed earlier in
-            // the pass (claims never revert mid-pass, so the cursor only
-            // moves forward).
-            while ranked.cursor < ranked.order.len() && taken[ranked.order[ranked.cursor].1] {
-                ranked.cursor += 1;
-            }
-            if let Some(&(s, g)) = ranked.order.get(ranked.cursor) {
-                better(&mut best, s, g);
-            }
-        }
-    }
-    best.map(|(_, g)| g)
 }
 
 /// One [`ClusterRunner`] run: the experiment outcome plus every
@@ -1163,8 +955,8 @@ struct ResumeState {
 /// Captures happen at the single-threaded epoch barrier — after the
 /// merge, before the next dispatch — where every engine is quiescent, so
 /// the snapshot is exact, not racy. Resuming a snapshot continues the
-/// run **bit-identically** to one that never stopped, for any shard
-/// count and any worker-thread count.
+/// run **bit-identically** to one that never stopped, for any
+/// worker-thread count.
 pub struct ClusterRunner<'a> {
     ctx: &'a ServiceContext,
     choice: &'a ControllerChoice,
@@ -1244,12 +1036,10 @@ impl<'a> ClusterRunner<'a> {
         let pods = ctx.service.len();
         let replicas = cfg.machines / pods;
         let managed = !matches!(choice, ControllerChoice::Solo);
-        let map = ShardMap::new(replicas, pods, cfg.shards);
         let expect = [
             ("machines", cfg.machines as u64, snapshot.machines),
             ("pods", pods as u64, snapshot.pods),
             ("replicas", replicas as u64, snapshot.replicas),
-            ("shards", map.count() as u64, snapshot.shards),
             ("seed", cfg.seed, snapshot.seed),
             ("duration_s", cfg.duration_s, snapshot.duration_s),
             (
@@ -1300,7 +1090,7 @@ impl<'a> ClusterRunner<'a> {
         // Validate the scheduler state against the plan-derived shape by
         // restoring it into a throwaway scheduler now; `run` re-applies
         // it knowing it cannot fail.
-        Scheduler::new(cfg, pods, map, managed).restore_state(&snapshot.scheduler)?;
+        Scheduler::new(cfg, pods, managed).restore_state(&snapshot.scheduler)?;
         Ok(ClusterRunner {
             resume: Some(ResumeState {
                 epoch: snapshot.epoch,
@@ -1374,7 +1164,6 @@ impl<'a> ClusterRunner<'a> {
         let ctx = self.ctx;
         let cfg = self.cfg;
         let pods = ctx.service.len();
-        let replicas = cfg.machines / pods;
         let managed = !matches!(self.choice, ControllerChoice::Solo);
 
         let (engines, start_epoch, start_t, tail0, resume_sched, resume_chaos) =
@@ -1400,8 +1189,7 @@ impl<'a> ClusterRunner<'a> {
                 ),
             };
 
-        let map = ShardMap::new(replicas, pods, cfg.shards);
-        let mut sched = Scheduler::new(cfg, pods, map, managed);
+        let mut sched = Scheduler::new(cfg, pods, managed);
         if let Some(st) = &resume_sched {
             sched
                 // PANIC: resume() already validated this state against
@@ -1567,7 +1355,7 @@ impl<'a> ClusterRunner<'a> {
             &outputs,
             &per_replica,
             &sched.jobs,
-            sched.requeues(),
+            sched.queue.requeue_count(),
             cfg.duration_s as f64,
         );
         let telemetry = cfg.telemetry.enabled.then(|| ClusterTelemetry {
@@ -1581,8 +1369,7 @@ impl<'a> ClusterRunner<'a> {
         let outcome = ClusterOutcome {
             metrics,
             sharding: ShardingReport {
-                shards: map.count(),
-                steals: sched.steals,
+                steals: 0,
                 fast_path_epochs: sched.fast_path_epochs,
             },
             per_replica,
@@ -1595,8 +1382,7 @@ impl<'a> ClusterRunner<'a> {
 }
 
 /// Runs one cluster experiment: `cfg.machines` machines under `choice`,
-/// with the shared BE backlog dispatched by `cfg.policy` across
-/// [`ClusterConfig::shards`] scheduler shards. Equivalent to
+/// with the shared BE backlog dispatched by `cfg.policy`. Equivalent to
 /// [`ClusterRunner::new`]`(..).run()` with no snapshots requested.
 ///
 /// # Panics
@@ -1669,8 +1455,6 @@ mod tests {
             out.metrics.jobs
         );
         assert_eq!(out.fingerprints.len(), 2);
-        assert_eq!(out.sharding.shards, 1, "one replica cannot shard further");
-        assert_eq!(out.sharding.steals, 0, "K=1 never steals");
     }
 
     #[test]
@@ -1746,31 +1530,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn sharded_run_matches_unsharded() {
-        // The linchpin invariant, in miniature: the same 8-machine run
-        // at K=1 and K=4 must produce identical fingerprints, metrics
-        // and job outcomes (sharding changes cost, never decisions).
-        let ctx = ctx();
-        let mut c = small_cfg();
-        c.machines = 8;
-        c.duration_s = 60;
-        c.policy = PlacementPolicy::InterferenceScore;
-        let run = |shards: usize| {
-            let mut c = c.clone();
-            c.shards = shards;
-            run_cluster(&ctx, &ControllerChoice::Rhythm, &c)
-        };
-        let a = run(1);
-        let b = run(4);
-        assert_eq!(b.sharding.shards, 4);
-        assert_eq!(a.fingerprints, b.fingerprints);
-        assert_eq!(a.metrics.requeues, b.metrics.requeues);
-        assert_eq!(a.metrics.completed_requests, b.metrics.completed_requests);
-        assert_eq!(a.metrics.jobs, b.metrics.jobs);
-        assert_eq!(a.sharding.steals, 0, "K=1 cannot steal");
-    }
-
     /// Every observable the outcome carries, compared bit-for-bit.
     fn assert_outcomes_identical(a: &ClusterOutcome, b: &ClusterOutcome, what: &str) {
         assert_eq!(a.fingerprints, b.fingerprints, "{what}: fingerprints");
@@ -1780,7 +1539,10 @@ mod tests {
             a.metrics.completed_requests, b.metrics.completed_requests,
             "{what}: completed requests"
         );
-        assert_eq!(a.sharding.steals, b.sharding.steals, "{what}: steals");
+        assert_eq!(
+            a.sharding.fast_path_epochs, b.sharding.fast_path_epochs,
+            "{what}: fast-path epochs"
+        );
         match (&a.telemetry, &b.telemetry) {
             (None, None) => {}
             (Some(ta), Some(tb)) => {

@@ -2,8 +2,8 @@
 //!
 //! A [`ClusterSnapshot`] is everything the runner needs to continue a run
 //! **bit-identically** from an epoch barrier: the scheduler's dynamic
-//! state ([`SchedulerState`] — job ledger, per-shard queues/offers/
-//! bindings, shared sequence counters, gang trackers, event stream), one
+//! state ([`SchedulerState`] — job ledger, queue, offers, bindings,
+//! gang trackers, event stream), one
 //! opaque byte stream per replica engine (captured by
 //! [`Engine::snapshot_encode`]), a structural [`EngineSummary`] digest
 //! per replica (so [`ClusterSnapshot::diff`] can render a post-mortem
@@ -15,14 +15,15 @@
 //! then named sections. [`ClusterSnapshot::from_bytes`] refuses a file
 //! whose version or schema hashes differ
 //! ([`SnapshotError::Incompatible`]) and validates the cross-section
-//! invariants (engine count = replicas, machines = replicas × pods), so a
-//! foreign or stale file fails loudly instead of misdecoding.
+//! invariants (engine count = replicas, machines = replicas × pods, one
+//! offer slot per machine), so a foreign or stale file fails loudly
+//! instead of misdecoding.
 //!
 //! [`Engine::snapshot_encode`]: rhythm_core::runtime::Engine::snapshot_encode
 
 use crate::fault::{ChaosState, CHAOS_SECTION_VERSION};
 use crate::job::{ClusterJob, JobId, JobState};
-use crate::queue::{JobQueue, SeqSource};
+use crate::queue::JobQueue;
 use rhythm_core::runtime::EngineSummary;
 use rhythm_snapshot::{
     fnv1a, schema_hash, Reader, Snapshot, SnapshotBuilder, SnapshotError, SnapshotFile, Writer,
@@ -58,21 +59,6 @@ pub struct GangState {
 
 rhythm_snapshot::snapshot_struct!(GangState { members, patience_left, forming });
 
-/// One scheduler shard's durable state: its queue slice, outstanding
-/// offers (indexed by `global - range.start`) and instance bindings
-/// (`(global machine, instance) → job`).
-#[derive(Clone, Debug)]
-pub struct ShardState {
-    /// The shard's slice of the backlog.
-    pub queue: JobQueue,
-    /// Outstanding offer per machine of the shard.
-    pub offered: Vec<Option<JobId>>,
-    /// `(global machine, BE instance) → job` for running work.
-    pub bindings: BTreeMap<(u64, u64), JobId>,
-}
-
-rhythm_snapshot::snapshot_struct!(ShardState { queue, offered, bindings });
-
 /// The cluster scheduler's full dynamic state at an epoch barrier. The
 /// runner exports this at capture and replays it on resume; everything
 /// else in the scheduler (placement caches, per-pass scratch, machine
@@ -81,10 +67,12 @@ rhythm_snapshot::snapshot_struct!(ShardState { queue, offered, bindings });
 pub struct SchedulerState {
     /// The job ledger, indexed by job id.
     pub jobs: Vec<ClusterJob>,
-    /// Per-shard queues, offers and bindings, in shard order.
-    pub shards: Vec<ShardState>,
-    /// The shared sequence counter pair.
-    pub seq: SeqSource,
+    /// The backlog awaiting placement.
+    pub queue: JobQueue,
+    /// Outstanding offer per machine, indexed by global machine.
+    pub offered: Vec<Option<JobId>>,
+    /// `(global machine, BE instance) → job` for running work.
+    pub bindings: BTreeMap<(u64, u64), JobId>,
     /// The round-robin placement cursor.
     pub rr_cursor: u64,
     /// Gang id → tracker.
@@ -92,37 +80,18 @@ pub struct SchedulerState {
     /// Cluster-scheduler events emitted so far (resume continues the
     /// stream without duplication).
     pub events: Vec<ClusterEvent>,
-    /// Jobs placed outside their home shard so far.
-    pub steals: u64,
-    /// Dispatch passes that skipped ≥ 1 shard so far.
+    /// Dispatch passes that found no eligible machine so far.
     pub fast_path_epochs: u64,
 }
 
-impl Snapshot for SchedulerState {
-    fn encode(&self, w: &mut Writer) {
-        self.jobs.encode(w);
-        self.shards.encode(w);
-        self.seq.encode(w);
-        w.u64(self.rr_cursor);
-        self.gangs.encode(w);
-        self.events.encode(w);
-        w.u64(self.steals);
-        w.u64(self.fast_path_epochs);
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, SnapshotError> {
-        let state = SchedulerState {
-            jobs: Snapshot::decode(r)?,
-            shards: Snapshot::decode(r)?,
-            seq: Snapshot::decode(r)?,
-            rr_cursor: r.u64()?,
-            gangs: Snapshot::decode(r)?,
-            events: Snapshot::decode(r)?,
-            steals: r.u64()?,
-            fast_path_epochs: r.u64()?,
-        };
-        let n = state.jobs.len() as u64;
-        for (i, j) in state.jobs.iter().enumerate() {
+impl SchedulerState {
+    /// Checks the state's internal references: ledger ids are their
+    /// indices, every queued, offered, bound or gang-listed job exists,
+    /// and every machine the ledger or the bindings name has an offer
+    /// slot. Decoding runs this, so a snapshot that points past the
+    /// cluster is refused before resume can index with it.
+    pub(crate) fn validate(&self) -> Result<(), SnapshotError> {
+        for (i, j) in self.jobs.iter().enumerate() {
             if j.id != i as u64 {
                 return Err(SnapshotError::Corrupt(format!(
                     "job ledger entry {i} carries id {}",
@@ -130,31 +99,68 @@ impl Snapshot for SchedulerState {
                 )));
             }
         }
+        let n = self.jobs.len() as u64;
         let in_range = |jid: JobId| jid < n;
-        for (si, sh) in state.shards.iter().enumerate() {
-            if let Some(bad) = sh.queue.queued_ids().into_iter().find(|&j| !in_range(j)) {
-                return Err(SnapshotError::Corrupt(format!(
-                    "shard {si} queues unknown job {bad}"
-                )));
-            }
-            if let Some(bad) = sh.offered.iter().flatten().find(|&&j| !in_range(j)) {
-                return Err(SnapshotError::Corrupt(format!(
-                    "shard {si} offers unknown job {bad}"
-                )));
-            }
-            if let Some(bad) = sh.bindings.values().find(|&&j| !in_range(j)) {
-                return Err(SnapshotError::Corrupt(format!(
-                    "shard {si} binds unknown job {bad}"
-                )));
-            }
+        if let Some(bad) = self.queue.queued_ids().into_iter().find(|&j| !in_range(j)) {
+            return Err(SnapshotError::Corrupt(format!("queue holds unknown job {bad}")));
         }
-        for (gid, g) in &state.gangs {
+        if let Some(bad) = self.offered.iter().flatten().find(|&&j| !in_range(j)) {
+            return Err(SnapshotError::Corrupt(format!("offer names unknown job {bad}")));
+        }
+        if let Some(bad) = self.bindings.values().find(|&&j| !in_range(j)) {
+            return Err(SnapshotError::Corrupt(format!("binding names unknown job {bad}")));
+        }
+        for (gid, g) in &self.gangs {
             if let Some(bad) = g.members.iter().find(|&&m| !in_range(m)) {
                 return Err(SnapshotError::Corrupt(format!(
                     "gang {gid} lists unknown member {bad}"
                 )));
             }
         }
+        let machines = self.offered.len();
+        for j in &self.jobs {
+            if let JobState::Offered(g) | JobState::Running(g) = j.state {
+                if g >= machines {
+                    return Err(SnapshotError::Corrupt(format!(
+                        "job {} sits on machine {g}, the cluster has {machines}",
+                        j.id
+                    )));
+                }
+            }
+        }
+        if let Some(&(g, _)) = self.bindings.keys().find(|&&(g, _)| g >= machines as u64) {
+            return Err(SnapshotError::Corrupt(format!(
+                "binding on machine {g}, the cluster has {machines}"
+            )));
+        }
+        Ok(())
+    }
+}
+
+impl Snapshot for SchedulerState {
+    fn encode(&self, w: &mut Writer) {
+        self.jobs.encode(w);
+        self.queue.encode(w);
+        self.offered.encode(w);
+        self.bindings.encode(w);
+        w.u64(self.rr_cursor);
+        self.gangs.encode(w);
+        self.events.encode(w);
+        w.u64(self.fast_path_epochs);
+    }
+
+    fn decode(r: &mut Reader<'_>) -> Result<Self, SnapshotError> {
+        let state = SchedulerState {
+            jobs: Snapshot::decode(r)?,
+            queue: Snapshot::decode(r)?,
+            offered: Snapshot::decode(r)?,
+            bindings: Snapshot::decode(r)?,
+            rr_cursor: r.u64()?,
+            gangs: Snapshot::decode(r)?,
+            events: Snapshot::decode(r)?,
+            fast_path_epochs: r.u64()?,
+        };
+        state.validate()?;
         Ok(state)
     }
 }
@@ -189,8 +195,6 @@ pub struct ClusterSnapshot {
     pub pods: u64,
     /// Service replicas (engines).
     pub replicas: u64,
-    /// Scheduler shards (effective K).
-    pub shards: u64,
     /// Base seed of the run.
     pub seed: u64,
     /// Configured run length in virtual seconds.
@@ -227,7 +231,6 @@ impl ClusterSnapshot {
         meta.u64(self.machines);
         meta.u64(self.pods);
         meta.u64(self.replicas);
-        meta.u64(self.shards);
         meta.u64(self.seed);
         meta.u64(self.duration_s);
         meta.u64(self.controller_period_ms);
@@ -284,7 +287,6 @@ impl ClusterSnapshot {
         let machines = r.u64()?;
         let pods = r.u64()?;
         let replicas = r.u64()?;
-        let shards = r.u64()?;
         let seed = r.u64()?;
         let duration_s = r.u64()?;
         let controller_period_ms = r.u64()?;
@@ -343,10 +345,10 @@ impl ClusterSnapshot {
                 summaries.len()
             )));
         }
-        if scheduler.shards.len() as u64 != shards {
+        if scheduler.offered.len() as u64 != machines {
             return Err(SnapshotError::Corrupt(format!(
-                "scheduler has {} shard states, meta declares {shards}",
-                scheduler.shards.len()
+                "scheduler has {} offer slots for {machines} machines",
+                scheduler.offered.len()
             )));
         }
         if let Some(c) = &chaos {
@@ -362,7 +364,6 @@ impl ClusterSnapshot {
             machines,
             pods,
             replicas,
-            shards,
             seed,
             duration_s,
             controller_period_ms,
@@ -381,7 +382,7 @@ impl ClusterSnapshot {
         fnv1a(&self.to_bytes())
     }
 
-    /// Structural comparison of two snapshots: queues, offers, bindings,
+    /// Structural comparison of two snapshots: queue, offers, bindings,
     /// the job ledger, per-machine engine state and metrics deltas.
     pub fn diff(&self, other: &ClusterSnapshot) -> SnapshotDiff {
         let mut d = SnapshotDiff::default();
@@ -395,7 +396,6 @@ impl ClusterSnapshot {
         meta("machines", self.machines.to_string(), other.machines.to_string());
         meta("pods", self.pods.to_string(), other.pods.to_string());
         meta("replicas", self.replicas.to_string(), other.replicas.to_string());
-        meta("shards", self.shards.to_string(), other.shards.to_string());
         meta("seed", self.seed.to_string(), other.seed.to_string());
         meta("duration_s", self.duration_s.to_string(), other.duration_s.to_string());
         meta(
@@ -488,36 +488,22 @@ impl ClusterSnapshot {
         if job_diffs > MAX_LISTED {
             d.push(format!("jobs: … and {} more differing jobs", job_diffs - MAX_LISTED));
         }
-        let shards = a.shards.len().max(b.shards.len());
-        for si in 0..shards {
-            match (a.shards.get(si), b.shards.get(si)) {
-                (Some(sa), Some(sb)) => {
-                    let (qa, qb) = (sa.queue.queued_ids(), sb.queue.queued_ids());
-                    if qa != qb {
-                        d.push(format!("shard {si}: queue {qa:?} vs {qb:?}"));
-                    }
-                    if sa.queue.requeue_count() != sb.queue.requeue_count() {
-                        d.push(format!(
-                            "shard {si}: requeues {} vs {}",
-                            sa.queue.requeue_count(),
-                            sb.queue.requeue_count()
-                        ));
-                    }
-                    if sa.offered != sb.offered {
-                        d.push(format!("shard {si}: offers {:?} vs {:?}", sa.offered, sb.offered));
-                    }
-                    if sa.bindings != sb.bindings {
-                        d.push(format!(
-                            "shard {si}: bindings {:?} vs {:?}",
-                            sa.bindings, sb.bindings
-                        ));
-                    }
-                }
-                _ => d.push(format!("shard {si}: present on one side only")),
-            }
+        let (qa, qb) = (a.queue.queued_ids(), b.queue.queued_ids());
+        if qa != qb {
+            d.push(format!("scheduler: queue {qa:?} vs {qb:?}"));
         }
-        if a.steals != b.steals {
-            d.push(format!("scheduler: steals {} vs {}", a.steals, b.steals));
+        if a.queue.requeue_count() != b.queue.requeue_count() {
+            d.push(format!(
+                "scheduler: requeues {} vs {}",
+                a.queue.requeue_count(),
+                b.queue.requeue_count()
+            ));
+        }
+        if a.offered != b.offered {
+            d.push(format!("scheduler: offers {:?} vs {:?}", a.offered, b.offered));
+        }
+        if a.bindings != b.bindings {
+            d.push(format!("scheduler: bindings {:?} vs {:?}", a.bindings, b.bindings));
         }
         if a.fast_path_epochs != b.fast_path_epochs {
             d.push(format!(

@@ -20,9 +20,6 @@ pub enum ClusterEventKind {
     /// A job completed after its deadline, or the run ended with the
     /// deadline already passed.
     DeadlineMiss,
-    /// A job queued in one scheduler shard was placed on a machine of
-    /// another shard at the epoch barrier (cross-shard work stealing).
-    ShardSteal,
     /// A machine left the cluster (fault injection): its BE work was
     /// killed and requeued. For machine events the `job` field carries
     /// the **global machine index**, not a job id.
@@ -43,7 +40,6 @@ impl ClusterEventKind {
             ClusterEventKind::GangFormed => "gang_formed",
             ClusterEventKind::GangAborted => "gang_aborted",
             ClusterEventKind::DeadlineMiss => "deadline_miss",
-            ClusterEventKind::ShardSteal => "shard_steal",
             ClusterEventKind::MachineDown => "machine_down",
             ClusterEventKind::MachineUp => "machine_up",
             ClusterEventKind::FaultInjected => "fault_injected",
@@ -62,10 +58,6 @@ pub struct ClusterEvent {
     pub job: u64,
     /// Gang id for gang events (`None` for solitary jobs).
     pub gang: Option<u32>,
-    /// Scheduler shard that recorded the event (`None` when the runner
-    /// is unsharded). For steals this is the *destination* shard — the
-    /// shard whose machine absorbed the job.
-    pub shard: Option<u32>,
 }
 
 impl ClusterEvent {
@@ -78,9 +70,6 @@ impl ClusterEvent {
         if let Some(gid) = self.gang {
             json::uint(out, "gang", gid.into());
         }
-        if let Some(shard) = self.shard {
-            json::uint(out, "shard", shard.into());
-        }
         out.push('}');
     }
 }
@@ -91,7 +80,7 @@ impl rhythm_snapshot::Snapshot for ClusterEventKind {
             ClusterEventKind::GangFormed => 0,
             ClusterEventKind::GangAborted => 1,
             ClusterEventKind::DeadlineMiss => 2,
-            ClusterEventKind::ShardSteal => 3,
+            // Tag 3 is retired (it named a scheduler-shard event).
             ClusterEventKind::MachineDown => 4,
             ClusterEventKind::MachineUp => 5,
             ClusterEventKind::FaultInjected => 6,
@@ -103,7 +92,6 @@ impl rhythm_snapshot::Snapshot for ClusterEventKind {
             0 => ClusterEventKind::GangFormed,
             1 => ClusterEventKind::GangAborted,
             2 => ClusterEventKind::DeadlineMiss,
-            3 => ClusterEventKind::ShardSteal,
             4 => ClusterEventKind::MachineDown,
             5 => ClusterEventKind::MachineUp,
             6 => ClusterEventKind::FaultInjected,
@@ -116,7 +104,7 @@ impl rhythm_snapshot::Snapshot for ClusterEventKind {
     }
 }
 
-rhythm_snapshot::snapshot_struct!(ClusterEvent { t_s, kind, job, gang, shard });
+rhythm_snapshot::snapshot_struct!(ClusterEvent { t_s, kind, job, gang });
 
 #[cfg(test)]
 mod tests {
@@ -131,35 +119,30 @@ mod tests {
                 kind: ClusterEventKind::GangFormed,
                 job: 7,
                 gang: Some(3),
-                shard: Some(2),
             },
             ClusterEvent {
                 t_s: 30.0,
                 kind: ClusterEventKind::DeadlineMiss,
                 job: 9,
                 gang: None,
-                shard: None,
             },
             ClusterEvent {
                 t_s: 42.0,
                 kind: ClusterEventKind::MachineDown,
                 job: 5, // machine index for machine events
                 gang: None,
-                shard: Some(1),
             },
             ClusterEvent {
                 t_s: 60.0,
                 kind: ClusterEventKind::MachineUp,
                 job: 5,
                 gang: None,
-                shard: Some(1),
             },
             ClusterEvent {
                 t_s: 42.0,
                 kind: ClusterEventKind::FaultInjected,
                 job: 0, // plan-event index for fault records
                 gang: None,
-                shard: None,
             },
         ];
         let mut w = Writer::new();
@@ -183,27 +166,22 @@ mod tests {
             kind: ClusterEventKind::GangFormed,
             job: 7,
             gang: Some(3),
-            shard: Some(2),
         };
         let line = render(&ev);
         assert!(line.starts_with("{\"type\":\"cluster_event\""), "{line}");
         assert!(line.contains("\"kind\":\"gang_formed\""), "{line}");
         assert!(line.contains("\"gang\":3"), "{line}");
-        assert!(line.contains("\"shard\":2"), "{line}");
         let solo = ClusterEvent {
             t_s: 30.0,
             kind: ClusterEventKind::DeadlineMiss,
             job: 9,
             gang: None,
-            shard: None,
         };
         let line = render(&solo);
         assert!(!line.contains("gang"), "no gang key");
-        assert!(!line.contains("shard"), "no shard key");
     }
 
-    /// The exact line of every kind, with `gang` and `shard` each
-    /// present and absent.
+    /// The exact line of every kind, with `gang` present and absent.
     #[test]
     fn json_pins_every_kind_and_optional_key() {
         let cases = [
@@ -212,15 +190,13 @@ mod tests {
                 12.5,
                 u64::MAX,
                 Some(u32::MAX),
-                Some(0),
-                r#"{"type":"cluster_event","kind":"gang_formed","t_s":12.5,"job":18446744073709551615,"gang":4294967295,"shard":0}"#,
+                r#"{"type":"cluster_event","kind":"gang_formed","t_s":12.5,"job":18446744073709551615,"gang":4294967295}"#,
             ),
             (
                 ClusterEventKind::GangAborted,
                 -0.0,
                 0,
                 Some(1),
-                None,
                 r#"{"type":"cluster_event","kind":"gang_aborted","t_s":-0,"job":0,"gang":1}"#,
             ),
             (
@@ -228,49 +204,36 @@ mod tests {
                 1e21,
                 9,
                 None,
-                Some(u32::MAX),
-                r#"{"type":"cluster_event","kind":"deadline_miss","t_s":1000000000000000000000,"job":9,"shard":4294967295}"#,
-            ),
-            (
-                ClusterEventKind::ShardSteal,
-                f64::NAN,
-                4,
-                None,
-                None,
-                r#"{"type":"cluster_event","kind":"shard_steal","t_s":null,"job":4}"#,
+                r#"{"type":"cluster_event","kind":"deadline_miss","t_s":1000000000000000000000,"job":9}"#,
             ),
             (
                 ClusterEventKind::MachineDown,
                 f64::INFINITY,
                 5,
                 None,
-                Some(1),
-                r#"{"type":"cluster_event","kind":"machine_down","t_s":null,"job":5,"shard":1}"#,
+                r#"{"type":"cluster_event","kind":"machine_down","t_s":null,"job":5}"#,
             ),
             (
                 ClusterEventKind::MachineUp,
                 60.0,
                 5,
                 None,
-                Some(1),
-                r#"{"type":"cluster_event","kind":"machine_up","t_s":60,"job":5,"shard":1}"#,
+                r#"{"type":"cluster_event","kind":"machine_up","t_s":60,"job":5}"#,
             ),
             (
                 ClusterEventKind::FaultInjected,
-                42.0,
+                f64::NAN,
                 0,
                 None,
-                None,
-                r#"{"type":"cluster_event","kind":"fault_injected","t_s":42,"job":0}"#,
+                r#"{"type":"cluster_event","kind":"fault_injected","t_s":null,"job":0}"#,
             ),
         ];
-        for (kind, t_s, job, gang, shard, want) in cases {
+        for (kind, t_s, job, gang, want) in cases {
             let ev = ClusterEvent {
                 t_s,
                 kind,
                 job,
                 gang,
-                shard,
             };
             assert_eq!(render(&ev), want);
         }

@@ -359,7 +359,6 @@ mod tests {
             kind: crate::cluster::ClusterEventKind::MachineDown,
             job: 1,
             gang: None,
-            shard: Some(0),
         };
         let text = export_jsonl_with_events(
             &[every_kind_output(), sample_output()],
@@ -387,7 +386,7 @@ mod tests {
             r#"{"type":"audit","replica":1,"t_s":2,"machine":0,"pod":"front","action":"SuspendBE","trigger":"load_above_limit","load":0.71,"loadlimit":0.6,"slack":0.12,"slacklimit":0.1,"tail_ms":88,"sla_ms":100,"hot_pod":null,"before":{"instances":0,"running":0,"cores":0,"llc_ways":0,"freq_mhz":0,"net_mbps":0},"after":{"instances":0,"running":0,"cores":0,"llc_ways":0,"freq_mhz":0,"net_mbps":0}}"#,
             r#"{"type":"tail","scope":"replica","replica":1,"t_s":2,"count":40,"p50_ms":10,"p95_ms":60,"p99_ms":88,"slack":0.12}"#,
             r#"{"type":"tail","scope":"cluster","t_s":2,"count":40,"p50_ms":10,"p95_ms":60,"p99_ms":88,"slack":0.12}"#,
-            r#"{"type":"cluster_event","kind":"machine_down","t_s":4,"job":1,"shard":0}"#,
+            r#"{"type":"cluster_event","kind":"machine_down","t_s":4,"job":1}"#,
         ];
         assert_eq!(text.lines().collect::<Vec<_>>(), want);
         assert!(text.ends_with('\n'));

@@ -10,6 +10,8 @@
 //! test pins a heterogeneous cluster (3 hardware classes, priority and
 //! deadline jobs, a gang, preemption, aging) and requires the full
 //! telemetry JSONL export to be byte-identical across 1/2/4/8 threads.
+//! A third runs a 256-machine cell on 1/2/4/8 threads, so the
+//! dispatcher and the worker pool are checked at warehouse width too.
 //!
 //! The vendored proptest shim runs a fixed 64 cases — far too many for
 //! whole-cluster runs — so the cells are drawn from a splitmix64 stream
@@ -140,5 +142,39 @@ fn hetero_gang_cluster_is_thread_count_invariant() {
         let a = serde_json::to_string(&baseline.metrics).unwrap();
         let b = serde_json::to_string(&run.metrics).unwrap();
         assert_eq!(a, b, "merged metrics diverged at {threads} threads");
+    }
+}
+
+/// The 256-machine cell (128 replicas of solr): enough engines that
+/// every worker count splits them unevenly, and enough machines that
+/// the dispatcher places hundreds of jobs per pass.
+fn large_cell(threads: usize) -> ClusterConfig {
+    let mut c = ClusterConfig::new(256).with_scaled_jobs(0.02);
+    c.duration_s = 20;
+    c.jobs_per_machine = 2;
+    c.load = LoadGen::constant(0.5);
+    c.policy = PlacementPolicy::InterferenceScore;
+    c.seed = 0x5AAD;
+    c.threads = threads;
+    c
+}
+
+#[test]
+fn large_cluster_runs_are_thread_count_invariant() {
+    let baseline = run_cluster(ctx(), &ControllerChoice::Rhythm, &large_cell(1));
+    assert!(baseline.metrics.completed_requests > 0, "empty run");
+    let base_metrics = serde_json::to_string(&baseline.metrics).unwrap();
+    for threads in [2usize, 4, 8] {
+        let run = run_cluster(ctx(), &ControllerChoice::Rhythm, &large_cell(threads));
+        assert_eq!(
+            baseline.fingerprints, run.fingerprints,
+            "fingerprints diverged at {threads} threads"
+        );
+        let metrics = serde_json::to_string(&run.metrics).unwrap();
+        assert_eq!(base_metrics, metrics, "metrics diverged at {threads} threads");
+        assert_eq!(
+            baseline.sharding.fast_path_epochs, run.sharding.fast_path_epochs,
+            "dispatch counters diverged at {threads} threads"
+        );
     }
 }

@@ -9,12 +9,14 @@
 //!
 //! The final block runs whole cluster simulations per case (capped via
 //! `proptest_config`) and checks the chaos invariants of DESIGN.md §13:
-//! any fault plan leaves the run bit-reproducible across shard and
-//! worker-thread layouts, and the job ledger's recovery accounting
+//! any fault plan leaves the run bit-reproducible across worker-thread
+//! layouts, and the job ledger's recovery accounting
 //! never wastes more than one checkpoint interval per kill.
 
 use proptest::prelude::*;
-use rhythm::cluster::{run_cluster, ClusterConfig, FaultPlan, JobQueue, JobState};
+use rhythm::cluster::{
+    run_cluster, ClusterConfig, ClusterJob, FaultPlan, JobQueue, JobState, SchedulerState,
+};
 use rhythm::core::experiment::{ControllerChoice, ServiceContext};
 use rhythm::sim::SimRng;
 use rhythm::workloads::{apps, BeKind, BeSpec, LoadGen};
@@ -555,26 +557,57 @@ proptest! {
         prop_assert_eq!(a, b, "decoded queue pops in a different order");
     }
 
-    // Shard section: queue + outstanding offers + instance bindings.
+    // Scheduler section: ledger + queue + per-machine offers + instance
+    // bindings, all naming jobs and machines that exist. A binding one
+    // machine past the offer table is refused.
     #[test]
-    fn snapshot_shard_section_round_trips(
-        ids in prop::collection::btree_set(0u64..500, 0..24),
-        offered in prop::collection::vec(prop::option::of(0u64..500), 0..16),
+    fn snapshot_scheduler_section_round_trips(
+        n_jobs in 1u64..40,
+        queued in prop::collection::btree_set(0u64..40, 0..24),
+        offered in prop::collection::vec(prop::option::of(0u64..40), 1..16),
         bindings in prop::collection::btree_map(
             (0u64..16, 0u64..4),
-            0u64..500,
+            0u64..40,
             0..20,
         ),
     ) {
+        let spec = std::sync::Arc::new(BeSpec::of(BeKind::Wordcount));
+        let jobs: Vec<ClusterJob> =
+            (0..n_jobs).map(|id| ClusterJob::new(id, spec.clone(), 0.0)).collect();
         let mut queue = JobQueue::new();
-        for &id in &ids {
+        for &id in queued.iter().filter(|&&id| id < n_jobs) {
             queue.submit(id);
         }
-        let shard = rhythm::cluster::ShardState { queue, offered, bindings };
-        let (decoded, _) = snapshot_round_trip(&shard);
-        prop_assert_eq!(decoded.offered, shard.offered);
-        prop_assert_eq!(decoded.bindings, shard.bindings);
-        prop_assert_eq!(decoded.queue.queued_ids(), shard.queue.queued_ids());
+        let machines = offered.len() as u64;
+        let state = SchedulerState {
+            jobs,
+            queue,
+            offered: offered.into_iter().map(|o| o.map(|j| j % n_jobs)).collect(),
+            bindings: bindings
+                .into_iter()
+                .map(|((g, inst), j)| ((g % machines, inst), j % n_jobs))
+                .collect(),
+            rr_cursor: 0,
+            gangs: Default::default(),
+            events: Vec::new(),
+            fast_path_epochs: 3,
+        };
+        let (decoded, _) = snapshot_round_trip(&state);
+        prop_assert_eq!(&decoded.offered, &state.offered);
+        prop_assert_eq!(&decoded.bindings, &state.bindings);
+        prop_assert_eq!(decoded.queue.queued_ids(), state.queue.queued_ids());
+        prop_assert_eq!(decoded.fast_path_epochs, state.fast_path_epochs);
+
+        use rhythm::snapshot::{Reader, Snapshot, Writer};
+        let mut bad = state;
+        bad.bindings.insert((machines, 0), 0);
+        let mut w = Writer::new();
+        bad.encode(&mut w);
+        let bytes = w.into_bytes();
+        prop_assert!(
+            SchedulerState::decode(&mut Reader::new(&bytes)).is_err(),
+            "a binding past the offer table must not decode"
+        );
     }
 
     // RNG section: a restored stream continues exactly where the
@@ -609,7 +642,7 @@ fn fault_ctx() -> &'static ServiceContext {
 
 /// A small managed cell with `plan` active: short horizon, scaled jobs
 /// so the backlog both completes and gets killed within it.
-fn fault_cell(plan: FaultPlan, threads: usize, shards: usize, ckpt: f64) -> ClusterConfig {
+fn fault_cell(plan: FaultPlan, threads: usize, ckpt: f64) -> ClusterConfig {
     let mut c = ClusterConfig::new(2 * fault_ctx().service.len()).with_scaled_jobs(0.02);
     c.duration_s = 40;
     c.jobs_per_machine = 4;
@@ -617,7 +650,6 @@ fn fault_cell(plan: FaultPlan, threads: usize, shards: usize, ckpt: f64) -> Clus
     c.load = LoadGen::constant(0.8);
     c.seed = 0xFA17;
     c.threads = threads;
-    c.shards = shards;
     c.faults = plan;
     c
 }
@@ -632,8 +664,8 @@ proptest! {
     /// Chaos does not break reproducibility: for an arbitrary fault
     /// plan (crashes, recoveries, stragglers, correlated failures at
     /// arbitrary epochs), the merged metrics serialize byte-identically
-    /// and the per-machine fingerprints match across worker-thread and
-    /// shard layouts.
+    /// and the per-machine fingerprints match across worker-thread
+    /// layouts.
     #[test]
     fn fault_runs_are_layout_invariant(
         ops in prop::collection::vec((0u8..4, 4u32..36, 0u64..32), 1..5),
@@ -652,13 +684,13 @@ proptest! {
             };
         }
         prop_assert!(plan.validate(machines).is_ok());
-        let runs: Vec<_> = [(1usize, 1usize), (3, 2), (2, 4)]
+        let runs: Vec<_> = [1usize, 3, 2]
             .iter()
-            .map(|&(threads, shards)| {
+            .map(|&threads| {
                 run_cluster(
                     fault_ctx(),
                     &ControllerChoice::Rhythm,
-                    &fault_cell(plan.clone(), threads, shards, ckpt),
+                    &fault_cell(plan.clone(), threads, ckpt),
                 )
             })
             .collect();
@@ -690,7 +722,7 @@ proptest! {
         let out = run_cluster(
             fault_ctx(),
             &ControllerChoice::Rhythm,
-            &fault_cell(plan, 2, 2, ckpt),
+            &fault_cell(plan, 2, ckpt),
         );
         prop_assert!(!out.jobs.is_empty());
         let mut kills = 0u64;

@@ -1,11 +1,11 @@
 //! The durable-state contract, end to end: a run snapshotted at epoch k
 //! and resumed to the horizon is **bit-identical** to a run that never
 //! stopped — same machine fingerprints, same metrics, same telemetry
-//! exports — for any shard count K and any worker-thread count.
+//! exports — for any worker-thread count.
 //!
 //! One straight-through reference run stands in for every grid cell:
-//! sharding and threading are already proven observation-invariant, so
-//! each (K, threads) resume must land on the same bytes.
+//! threading is already proven observation-invariant, so every resume
+//! must land on the same bytes, telemetry exports included.
 
 use rhythm::prelude::*;
 use rhythm::workloads::apps;
@@ -16,13 +16,12 @@ fn ctx() -> ServiceContext {
     ServiceContext::prepare(apps::solr(), &[BeSpec::of(BeKind::Wordcount)], 11)
 }
 
-fn cfg(shards: usize, threads: usize) -> ClusterConfig {
-    // 16 machines over solr's 2 Servpods = 8 replicas, enough for K=8.
+fn cfg(threads: usize) -> ClusterConfig {
+    // 16 machines over solr's 2 Servpods = 8 replicas.
     let mut c = ClusterConfig::new(16).with_scaled_jobs(0.02);
     c.duration_s = 40;
     c.jobs_per_machine = 2;
     c.load = LoadGen::constant(0.5);
-    c.shards = shards;
     c.threads = threads;
     c.telemetry = TelemetryConfig::full();
     c
@@ -46,52 +45,105 @@ fn assert_identical(a: &ClusterOutcome, b: &ClusterOutcome, what: &str) {
 }
 
 #[test]
-fn resume_matches_straight_run_across_shard_and_thread_grid() {
+fn resume_matches_straight_run_across_thread_grid() {
     let ctx = ctx();
-    let mut fingerprints_across_k = None;
-
-    for shards in [1usize, 8] {
-        // Telemetry *events* legitimately differ across K (shard steals
-        // are tagged with the destination shard), so the bit-identity
-        // reference is per-K; fingerprints and metrics stay K-invariant
-        // and are cross-checked below.
-        let reference = run_cluster(&ctx, &ControllerChoice::Rhythm, &cfg(shards, 1));
-        match &fingerprints_across_k {
-            None => fingerprints_across_k = Some(reference.fingerprints.clone()),
-            Some(fp) => assert_eq!(fp, &reference.fingerprints, "sharding changed results"),
-        }
-
-        // Capture once per K (on one worker thread), resume on both
-        // thread counts: the snapshot must not remember how it was made.
-        let capture_run = ClusterRunner::new(&ctx, &ControllerChoice::Rhythm, &cfg(shards, 1))
+    let reference = run_cluster(&ctx, &ControllerChoice::Rhythm, &cfg(1));
+    for capture_threads in [1usize, 4] {
+        let capture_run = ClusterRunner::new(&ctx, &ControllerChoice::Rhythm, &cfg(capture_threads))
             .snapshot_at(CAPTURE_EPOCH)
             .run();
         assert_identical(
             &reference,
             &capture_run.outcome,
-            &format!("K={shards} capturing run"),
+            &format!("capturing run on {capture_threads} threads"),
         );
         let bytes = capture_run.snapshots[0].1.to_bytes();
-
+        // The snapshot must not remember how it was made: resume on
+        // every thread count.
         for threads in [1usize, 4] {
             let snap = ClusterSnapshot::from_bytes(&bytes).expect("snapshot bytes parse");
-            let c = cfg(shards, threads);
-            let resumed = ClusterRunner::resume(&snap, &ctx, &ControllerChoice::Rhythm, &c)
+            let resumed = ClusterRunner::resume(&snap, &ctx, &ControllerChoice::Rhythm, &cfg(threads))
                 .expect("snapshot matches its config")
                 .run();
             assert_identical(
                 &reference,
                 &resumed.outcome,
-                &format!("K={shards} threads={threads} resumed run"),
+                &format!("captured on {capture_threads}, resumed on {threads} threads"),
             );
         }
     }
 }
 
+/// The golden hetero cell (4 machines, one 3-instance gang): small
+/// enough that its job ledger holds offered and running gang members
+/// within a few epochs.
+fn hetero_cfg() -> ClusterConfig {
+    let mut c = ClusterConfig::new(4).with_scaled_jobs(0.02);
+    c.duration_s = 60;
+    c.load = LoadGen::constant(0.6);
+    c.policy = PlacementPolicy::HeteroAware;
+    c.seed = 0x601D;
+    c.threads = 2;
+    c.machine_specs = vec![
+        MachineSpec::dense_compute(),
+        MachineSpec::paper_testbed(),
+        MachineSpec::lean_node(),
+        MachineSpec::paper_testbed(),
+    ];
+    c.priority_preemption = true;
+    c.queue_aging_s = Some(20.0);
+    c.gang_patience_epochs = 3;
+    let wc = c.be_mix[0].clone();
+    c.job_plan = vec![
+        JobSpec::solitary(wc.clone()).with_priority(2).with_deadline(30.0),
+        JobSpec::solitary(wc.clone()).with_priority(1).with_gang(3),
+        JobSpec::solitary(wc.clone()).with_priority(1).with_deadline(45.0),
+        JobSpec::solitary(wc.clone()),
+        JobSpec::solitary(wc),
+    ];
+    c
+}
+
+#[test]
+fn ledger_naming_an_unknown_machine_is_refused() {
+    use rhythm::cluster::JobState;
+    let ctx = ServiceContext::prepare(apps::solr(), &[BeSpec::of(BeKind::Wordcount)], 11);
+    let c = hetero_cfg();
+    let run = ClusterRunner::new(&ctx, &ControllerChoice::Rhythm, &c)
+        .snapshot_at(2)
+        .snapshot_at(6)
+        .run();
+    let mut rewrites = 0;
+    for (_, snap) in &run.snapshots {
+        for (i, job) in snap.scheduler.jobs.iter().enumerate() {
+            let bogus = match job.state {
+                JobState::Offered(_) => JobState::Offered(999_999),
+                JobState::Running(_) => JobState::Running(999_999),
+                JobState::Queued | JobState::Done => continue,
+            };
+            let mut bad = snap.clone();
+            bad.scheduler.jobs[i].state = bogus;
+            rewrites += 1;
+            assert!(
+                matches!(
+                    ClusterSnapshot::from_bytes(&bad.to_bytes()),
+                    Err(SnapshotError::Corrupt(_))
+                ),
+                "job {i} rewritten to {bogus:?} must not decode"
+            );
+            assert!(
+                ClusterRunner::resume(&bad, &ctx, &ControllerChoice::Rhythm, &c).is_err(),
+                "job {i} rewritten to {bogus:?} must not resume"
+            );
+        }
+    }
+    assert!(rewrites > 0, "no offered or running job to rewrite");
+}
+
 #[test]
 fn snapshot_files_reject_corruption_and_truncation() {
     let ctx = ctx();
-    let run = ClusterRunner::new(&ctx, &ControllerChoice::Rhythm, &cfg(1, 1))
+    let run = ClusterRunner::new(&ctx, &ControllerChoice::Rhythm, &cfg(1))
         .snapshot_at(CAPTURE_EPOCH)
         .run();
     let bytes = run.snapshots[0].1.to_bytes();

@@ -148,6 +148,45 @@ fn dispatch_n64() -> [u64; 4] {
     })
 }
 
+/// Dispatch of a unique-name backlog: a 64-machine solr cell on three
+/// hardware classes whose backlog is a `heavy_tailed_plan` (every job
+/// named `kind#idx`, so no two jobs share a name) with four gang
+/// entries, 40 s on 1 worker thread, under every scored placement
+/// policy. Pins the picks of distinct jobs with the same score
+/// content, including HeteroAware's gang-peer scan: the later gangs
+/// meet a busy cluster, where the straggler penalty changes picks.
+fn dispatch_heavy_tailed() -> [u64; 3] {
+    let ctx = ServiceContext::prepare(apps::solr(), &[BeSpec::of(BeKind::Wordcount)], 11);
+    [
+        PlacementPolicy::LeastPressure,
+        PlacementPolicy::InterferenceScore,
+        PlacementPolicy::HeteroAware,
+    ]
+    .map(|policy| {
+        let mut c = ClusterConfig::new(64);
+        c.duration_s = 40;
+        c.load = LoadGen::constant(0.5);
+        c.policy = policy;
+        c.seed = 0x4EA7;
+        c.threads = 1;
+        let classes = [
+            MachineSpec::dense_compute(),
+            MachineSpec::paper_testbed(),
+            MachineSpec::lean_node(),
+        ];
+        c.machine_specs = (0..64).map(|g| classes[g % 3]).collect();
+        let dist = JobSizeDist::LogNormal {
+            median_s: 12.0,
+            sigma: 1.7,
+        };
+        c.job_plan = heavy_tailed_plan(160, &c.be_mix, &dist, 2.0, 60.0, c.seed);
+        for (entry, gang) in [(3, 4), (40, 3), (100, 6), (150, 5)] {
+            c.job_plan[entry].gang = gang;
+        }
+        outcome_fingerprint(&run_cluster(&ctx, &ControllerChoice::Rhythm, &c))
+    })
+}
+
 /// The chaos campaign: one outcome fingerprint per scenario of the
 /// library `repro chaos` runs (8 machines = two e-commerce replicas,
 /// seed 0xCA05). Pins the trace-shaped load generators (diurnal +
@@ -305,6 +344,10 @@ fn print_fingerprints() {
     println!("const CHAOS_CAMPAIGN: &[u64] = &{:?};", chaos_campaign());
     println!("const DISPATCH_N64: [u64; 4] = {:?};", dispatch_n64());
     println!(
+        "const DISPATCH_HEAVY_TAILED: [u64; 3] = {:?};",
+        dispatch_heavy_tailed()
+    );
+    println!(
         "const EXPORTS: [(usize, u64); 3] = {:?};",
         export_fingerprint(&export_run())
     );
@@ -356,6 +399,11 @@ fn chaos_campaign_bit_identical() {
 #[test]
 fn dispatch_decisions_bit_identical() {
     assert_eq!(dispatch_n64(), DISPATCH_N64);
+}
+
+#[test]
+fn heavy_tailed_dispatch_bit_identical() {
+    assert_eq!(dispatch_heavy_tailed(), DISPATCH_HEAVY_TAILED);
 }
 
 #[test]

@@ -71,7 +71,7 @@ pub use job::{ClusterJob, JobId, JobSpec, JobState, JobStats};
 pub use metrics::{
     machine_fingerprints, ClusterMetrics, ClusterOutcome, ClusterTelemetry, ShardingReport,
 };
-pub use placement::{CandidateMachine, PlacementPolicy, Placer};
+pub use placement::{PlacementPolicy, Placer, ScoreKey};
 pub use queue::{JobQueue, QueueKey};
 pub use runner::{compare_cluster, run_cluster, ClusterRun, ClusterRunner};
 pub use snapshot::{

@@ -103,6 +103,15 @@ pub struct ShardingReport {
     /// Dispatch passes that found no eligible machine (no machine
     /// signalled AllowBEGrowth without an outstanding offer).
     pub fast_path_epochs: u64,
+    /// Placement rankings built: at most one per dispatch pass per
+    /// distinct [`ScoreKey`](crate::ScoreKey) among the jobs the pass
+    /// tried to place (at most one per pass under LeastPressure, none
+    /// under RoundRobin).
+    /// Not snapshotted: after a resume it counts the resumed segment only.
+    pub ranking_builds: u64,
+    /// Machine scores computed for those rankings (one per eligible
+    /// machine per build). Not snapshotted, like `ranking_builds`.
+    pub machines_scored: u64,
 }
 
 /// Everything one cluster run produces.

@@ -25,7 +25,6 @@ use rhythm_interference::{InterferenceModel, Pressure};
 use rhythm_machine::Machine;
 use rhythm_workloads::{BeSpec, ComponentSpec};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 
 /// Which placement policy the dispatcher uses.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -64,17 +63,52 @@ impl PlacementPolicy {
     }
 }
 
-/// One eligible machine as the placer sees it.
-pub struct CandidateMachine<'a> {
-    /// Global machine index within the cluster.
-    pub global: usize,
-    /// The machine's current state.
-    pub machine: &'a Machine,
-    /// The LC component hosted on this machine.
-    pub component: &'a ComponentSpec,
+/// The part of a job's [`BeSpec`] that placement scoring reads: the
+/// probe size and the pressure one probe instance adds. Scores take a
+/// key, never a spec, so two jobs with equal keys score every machine
+/// identically whatever their names or sizes — the dispatcher shares
+/// one ranking per pass between them.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct ScoreKey {
+    /// Probe cores: `solo_cores` clamped to 1..=2. A fresh instance
+    /// starts at one core but the controller grows it, and a 1-core
+    /// probe barely separates job characters.
+    probe_cores: u32,
+    cpu_pressure_per_core: f64,
+    llc_pressure_per_core: f64,
+    dram_pressure_per_core: f64,
+    net_demand_mbps: f64,
+}
+
+impl ScoreKey {
+    /// The score-relevant fields of `spec`.
+    pub fn of(spec: &BeSpec) -> ScoreKey {
+        ScoreKey {
+            probe_cores: spec.solo_cores.clamp(1, 2),
+            cpu_pressure_per_core: spec.cpu_pressure_per_core,
+            llc_pressure_per_core: spec.llc_pressure_per_core,
+            dram_pressure_per_core: spec.dram_pressure_per_core,
+            net_demand_mbps: spec.net_demand_mbps,
+        }
+    }
+
+    /// The key's exact bit pattern (`f64::to_bits` per field), usable
+    /// as a map key: equal bits mean equal scores on every machine.
+    pub fn bits(&self) -> [u64; 5] {
+        [
+            u64::from(self.probe_cores),
+            self.cpu_pressure_per_core.to_bits(),
+            self.llc_pressure_per_core.to_bits(),
+            self.dram_pressure_per_core.to_bits(),
+            self.net_demand_mbps.to_bits(),
+        ]
+    }
 }
 
 /// Stateful placer (the round-robin cursor persists across epochs).
+///
+/// The dispatcher owns the argmin: it ranks eligible machines by the
+/// scores below once per pass and reads the head of each ranking.
 #[derive(Clone, Debug)]
 pub struct Placer {
     policy: PlacementPolicy,
@@ -97,80 +131,9 @@ impl Placer {
         self.policy
     }
 
-    /// Picks the machine (global index) for one instance of `job` among
-    /// `eligible` (must be sorted by global index; deterministic:
-    /// ties break toward the lowest index). Returns `None` when nothing
-    /// is eligible.
-    pub fn choose(
-        &mut self,
-        job: &BeSpec,
-        eligible: &[CandidateMachine<'_>],
-        specs: &BTreeMap<String, BeSpec>,
-    ) -> Option<usize> {
-        self.choose_with_peers(job, eligible, specs, &[])
-    }
-
-    /// [`Placer::choose`] with gang context: `peer_caps` holds the
-    /// normalized capacities of machines already selected for sibling
-    /// instances of the same gang. Only `HeteroAware` uses it (to avoid
-    /// splitting a gang across machines of very different speeds); the
-    /// other policies ignore it entirely, so passing `&[]` makes this
-    /// identical to `choose`.
-    pub fn choose_with_peers(
-        &mut self,
-        job: &BeSpec,
-        eligible: &[CandidateMachine<'_>],
-        specs: &BTreeMap<String, BeSpec>,
-        peer_caps: &[f64],
-    ) -> Option<usize> {
-        if eligible.is_empty() {
-            return None;
-        }
-        match self.policy {
-            PlacementPolicy::RoundRobin => {
-                // First eligible machine at or after the cursor, wrapping.
-                let pick = eligible
-                    .iter()
-                    .find(|c| c.global >= self.cursor)
-                    .unwrap_or(&eligible[0]);
-                self.cursor = pick.global + 1;
-                Some(pick.global)
-            }
-            PlacementPolicy::LeastPressure => {
-                Self::argmin(eligible.iter().map(|c| {
-                    (c.global, Self::pressure_score(c.machine, specs))
-                }))
-            }
-            PlacementPolicy::InterferenceScore => {
-                Self::argmin(eligible.iter().map(|c| {
-                    (c.global, self.score_on(job, c.component, c.machine, specs))
-                }))
-            }
-            PlacementPolicy::HeteroAware => {
-                let peer_mean = if peer_caps.is_empty() {
-                    None
-                } else {
-                    Some(peer_caps.iter().sum::<f64>() / peer_caps.len() as f64)
-                };
-                Self::argmin(eligible.iter().map(|c| {
-                    let cap = Self::capacity(c.machine);
-                    let mut s = self.hetero_base(job, c.component, c.machine, specs);
-                    if let Some(mean) = peer_mean {
-                        // A gang finishes with its slowest member: penalise
-                        // capacity mismatch against already-placed siblings.
-                        // Weighted to rival the inflation term, since a
-                        // straggler wastes every sibling's cycles.
-                        s += Self::STRAGGLER_WEIGHT * (cap - mean).abs();
-                    }
-                    (c.global, s)
-                }))
-            }
-        }
-    }
-
     /// How hard gang co-placement pulls toward capacity-matched peers
     /// (per unit of normalized-capacity mismatch).
-    pub(crate) const STRAGGLER_WEIGHT: f64 = 2.0;
+    const STRAGGLER_WEIGHT: f64 = 2.0;
 
     /// The round-robin cursor (next global index the rotation tries).
     pub(crate) fn cursor(&self) -> usize {
@@ -183,28 +146,37 @@ impl Placer {
         self.cursor = cursor;
     }
 
-    /// The LeastPressure score of a machine: aggregate pressure of its
-    /// current BE population. Job-independent, so the dispatcher caches
-    /// one ranking per dispatch pass.
-    pub(crate) fn pressure_score(machine: &Machine, specs: &BTreeMap<String, BeSpec>) -> f64 {
-        let p = Pressure::from_machine(machine, specs);
-        p.cpu + p.llc + p.dram + p.net
+    /// The LeastPressure score of a machine: the aggregate of its `base`
+    /// pressure (see [`Pressure::from_machine`]). Job-independent, so the
+    /// dispatcher keeps one ranking per dispatch pass.
+    pub(crate) fn pressure_score(base: Pressure) -> f64 {
+        base.cpu + base.llc + base.dram + base.net
     }
 
     /// The HeteroAware base score (no gang context): predicted inflation
     /// divided by normalized capacity × core headroom. The straggler
-    /// penalty is added on top by the caller when peers exist.
+    /// penalty is added on top by [`Placer::with_straggler_penalty`]
+    /// when peers exist.
     pub(crate) fn hetero_base(
         &self,
-        job: &BeSpec,
+        key: ScoreKey,
+        base: Pressure,
         component: &ComponentSpec,
         machine: &Machine,
-        specs: &BTreeMap<String, BeSpec>,
     ) -> f64 {
         let cap = Self::capacity(machine);
         let total = machine.spec().total_cores().max(1) as f64;
         let headroom = machine.free_core_count() as f64 / total;
-        self.score_on(job, component, machine, specs) / (cap * headroom.max(0.05))
+        self.score_on(key, base, component, machine) / (cap * headroom.max(0.05))
+    }
+
+    /// A HeteroAware score in gang context: a gang finishes with its
+    /// slowest member, so a machine of capacity `cap` is penalised by
+    /// its mismatch against the mean capacity of the already-placed
+    /// siblings. Weighted to rival the inflation term, since a
+    /// straggler wastes every sibling's cycles.
+    pub(crate) fn with_straggler_penalty(hetero_base: f64, cap: f64, peer_mean: f64) -> f64 {
+        hetero_base + Self::STRAGGLER_WEIGHT * (cap - peer_mean).abs()
     }
 
     /// A machine's compute capacity normalized to the paper testbed
@@ -215,40 +187,23 @@ impl Placer {
     }
 
     /// Predicted LC service-time inflation on `machine` (hosting
-    /// `component`) with one probe instance of `job` added to its
-    /// current BE population.
+    /// `component`, whose current BE population exerts `base`) with one
+    /// probe instance of a job keyed `key` added.
     pub(crate) fn score_on(
         &self,
-        job: &BeSpec,
+        key: ScoreKey,
+        base: Pressure,
         component: &ComponentSpec,
         machine: &Machine,
-        specs: &BTreeMap<String, BeSpec>,
     ) -> f64 {
-        let mut p = Pressure::from_machine(machine, specs);
-        // Probe with a couple of cores: a fresh instance starts at one
-        // core but the controller grows it, and a 1-core probe barely
-        // separates job characters.
-        let probe_cores = job.solo_cores.clamp(1, 2) as f64 * machine.be_dvfs.speed_fraction();
-        p.cpu += job.cpu_pressure_per_core * probe_cores;
-        p.llc += job.llc_pressure_per_core * probe_cores;
-        p.dram += job.dram_pressure_per_core * probe_cores;
-        p.net += (job.net_demand_mbps / machine.spec().nic_mbps).max(0.0);
+        let mut p = base;
+        let probe_cores = key.probe_cores as f64 * machine.be_dvfs.speed_fraction();
+        p.cpu += key.cpu_pressure_per_core * probe_cores;
+        p.llc += key.llc_pressure_per_core * probe_cores;
+        p.dram += key.dram_pressure_per_core * probe_cores;
+        p.net += (key.net_demand_mbps / machine.spec().nic_mbps).max(0.0);
         let p = p.clamped();
         self.model.inflation(component, &p, machine)
-    }
-
-    /// Deterministic argmin: strictly-smaller wins, so ties keep the
-    /// lowest global index (the iterator is index-sorted).
-    fn argmin(scores: impl Iterator<Item = (usize, f64)>) -> Option<usize> {
-        let mut best: Option<(usize, f64)> = None;
-        for (g, s) in scores {
-            match best {
-                None => best = Some((g, s)),
-                Some((_, bs)) if s < bs => best = Some((g, s)),
-                _ => {}
-            }
-        }
-        best.map(|(g, _)| g)
     }
 }
 
@@ -257,18 +212,24 @@ mod tests {
     use super::*;
     use rhythm_machine::{Allocation, MachineSpec};
     use rhythm_workloads::{apps, BeKind};
+    use std::collections::BTreeMap;
 
-    fn machine() -> Machine {
+    /// A machine of `spec` with its LC allocation running at `freq_mhz`.
+    fn machine_of(spec: MachineSpec, freq_mhz: u32) -> Machine {
         Machine::new(
-            MachineSpec::paper_testbed(),
+            spec,
             Allocation {
                 cores: 12,
                 llc_ways: 0,
                 mem_mb: 32 * 1024,
                 net_mbps: 1_000.0,
-                freq_mhz: 2_000,
+                freq_mhz,
             },
         )
+    }
+
+    fn machine() -> Machine {
+        machine_of(MachineSpec::paper_testbed(), 2_000)
     }
 
     fn grant(cores: u32) -> Allocation {
@@ -290,83 +251,96 @@ mod tests {
         m
     }
 
+    /// The base pressure the dispatcher computes once per machine per
+    /// dispatch pass.
+    fn base(m: &Machine) -> Pressure {
+        Pressure::from_machine(m, &specs())
+    }
+
+    fn placer(policy: PlacementPolicy) -> Placer {
+        Placer::new(policy, InterferenceModel::calibrated())
+    }
+
     #[test]
-    fn round_robin_rotates() {
+    fn score_key_ignores_name_and_size() {
+        let a = BeSpec::of(BeKind::Wordcount);
+        let mut b = a.clone();
+        b.name = format!("{}#007", a.name);
+        b.job_seconds = a.job_seconds * 3.5;
+        assert_eq!(ScoreKey::of(&a), ScoreKey::of(&b));
+        assert_eq!(ScoreKey::of(&a).bits(), ScoreKey::of(&b).bits());
         let svc = apps::ecommerce();
-        let ms: Vec<Machine> = (0..3).map(|_| machine()).collect();
-        let cands: Vec<CandidateMachine<'_>> = ms
-            .iter()
-            .enumerate()
-            .map(|(i, m)| CandidateMachine {
-                global: i,
-                machine: m,
-                component: &svc.nodes[0].component,
-            })
-            .collect();
-        let mut p = Placer::new(PlacementPolicy::RoundRobin, InterferenceModel::calibrated());
-        let job = BeSpec::of(BeKind::Wordcount);
-        let s = specs();
-        let picks: Vec<usize> = (0..5).map(|_| p.choose(&job, &cands, &s).unwrap()).collect();
-        assert_eq!(picks, vec![0, 1, 2, 0, 1]);
+        let mut m = machine();
+        m.admit_be("stream-dram", grant(4)).unwrap();
+        let p = placer(PlacementPolicy::InterferenceScore);
+        let score = |s: &BeSpec| {
+            p.score_on(ScoreKey::of(s), base(&m), &svc.nodes[0].component, &m)
+                .to_bits()
+        };
+        assert_eq!(score(&a), score(&b));
+    }
+
+    #[test]
+    fn score_key_tracks_every_scored_field() {
+        let spec = BeSpec::of(BeKind::Wordcount);
+        let key = ScoreKey::of(&spec).bits();
+        let edits: [fn(&mut BeSpec); 5] = [
+            |s| s.solo_cores = 1,
+            |s| s.cpu_pressure_per_core += 0.01,
+            |s| s.llc_pressure_per_core += 0.01,
+            |s| s.dram_pressure_per_core += 0.01,
+            |s| s.net_demand_mbps += 1.0,
+        ];
+        for (i, edit) in edits.iter().enumerate() {
+            let mut s = spec.clone();
+            edit(&mut s);
+            assert_ne!(
+                ScoreKey::of(&s).bits(),
+                key,
+                "edit {i} left the key unchanged"
+            );
+        }
+    }
+
+    #[test]
+    fn score_key_clamps_probe_cores() {
+        let mut two = BeSpec::of(BeKind::Wordcount);
+        two.solo_cores = 2;
+        let mut five = two.clone();
+        five.solo_cores = 5;
+        assert_eq!(ScoreKey::of(&two).bits(), ScoreKey::of(&five).bits());
     }
 
     #[test]
     fn least_pressure_avoids_loaded_machine() {
-        let svc = apps::ecommerce();
         let mut loaded = machine();
         loaded.admit_be("stream-dram", grant(4)).unwrap();
         let idle = machine();
-        let cands = [
-            CandidateMachine {
-                global: 0,
-                machine: &loaded,
-                component: &svc.nodes[0].component,
-            },
-            CandidateMachine {
-                global: 1,
-                machine: &idle,
-                component: &svc.nodes[1].component,
-            },
-        ];
-        let mut p = Placer::new(PlacementPolicy::LeastPressure, InterferenceModel::calibrated());
-        let job = BeSpec::of(BeKind::Wordcount);
-        assert_eq!(p.choose(&job, &cands, &specs()), Some(1));
+        assert!(
+            Placer::pressure_score(base(&loaded)) > Placer::pressure_score(base(&idle)),
+            "the loaded machine ranks after the idle one"
+        );
     }
 
     #[test]
     fn interference_score_prefers_tolerant_component() {
-        // Same machine state, different components: the job should land
-        // on the component least sensitive to its pressure profile.
+        // Same machine state, two components that differ only in DRAM
+        // sensitivity: a DRAM-heavy job scores lower on the tolerant one.
         let svc = apps::ecommerce();
-        let a = machine();
-        let b = machine();
-        let mut sens: Vec<(usize, f64)> = Vec::new();
-        let job = BeSpec::of(BeKind::StreamDram { big: true });
-        let model = InterferenceModel::calibrated();
-        for (i, m) in [&a, &b].into_iter().enumerate() {
-            let c = CandidateMachine {
-                global: i,
-                machine: m,
-                component: &svc.nodes[i].component,
-            };
-            let placer = Placer::new(PlacementPolicy::InterferenceScore, model);
-            sens.push((i, placer.score_on(&job, c.component, c.machine, &specs())));
-        }
-        let cands = [
-            CandidateMachine {
-                global: 0,
-                machine: &a,
-                component: &svc.nodes[0].component,
-            },
-            CandidateMachine {
-                global: 1,
-                machine: &b,
-                component: &svc.nodes[1].component,
-            },
-        ];
-        let mut p = Placer::new(PlacementPolicy::InterferenceScore, model);
-        let expect = if sens[0].1 <= sens[1].1 { 0 } else { 1 };
-        assert_eq!(p.choose(&job, &cands, &specs()), Some(expect));
+        let mut tolerant = svc.nodes[0].component.clone();
+        tolerant.sensitivity.dram = 0.0;
+        let mut sensitive = tolerant.clone();
+        sensitive.sensitivity.dram = 2.0;
+        let m = machine();
+        let key = ScoreKey::of(&BeSpec::of(BeKind::StreamDram { big: true }));
+        let p = placer(PlacementPolicy::InterferenceScore);
+        let on = |c: &ComponentSpec| p.score_on(key, base(&m), c, &m);
+        assert!(
+            on(&tolerant) < on(&sensitive),
+            "{} {}",
+            on(&tolerant),
+            on(&sensitive)
+        );
     }
 
     #[test]
@@ -395,97 +369,32 @@ mod tests {
         // Identical load, identical component: the dense node should win
         // purely on capacity headroom.
         let svc = apps::ecommerce();
-        let small = Machine::new(
-            MachineSpec::lean_node(),
-            Allocation {
-                cores: 12,
-                llc_ways: 0,
-                mem_mb: 32 * 1024,
-                net_mbps: 1_000.0,
-                freq_mhz: 1_800,
-            },
-        );
-        let big = Machine::new(
-            MachineSpec::dense_compute(),
-            Allocation {
-                cores: 12,
-                llc_ways: 0,
-                mem_mb: 32 * 1024,
-                net_mbps: 1_000.0,
-                freq_mhz: 2_600,
-            },
-        );
-        let cands = [
-            CandidateMachine {
-                global: 0,
-                machine: &small,
-                component: &svc.nodes[0].component,
-            },
-            CandidateMachine {
-                global: 1,
-                machine: &big,
-                component: &svc.nodes[0].component,
-            },
-        ];
-        let mut p = Placer::new(PlacementPolicy::HeteroAware, InterferenceModel::calibrated());
-        let job = BeSpec::of(BeKind::Wordcount);
-        assert_eq!(p.choose(&job, &cands, &specs()), Some(1));
+        let small = machine_of(MachineSpec::lean_node(), 1_800);
+        let big = machine_of(MachineSpec::dense_compute(), 2_600);
+        let key = ScoreKey::of(&BeSpec::of(BeKind::Wordcount));
+        let p = placer(PlacementPolicy::HeteroAware);
+        let on = |m: &Machine| p.hetero_base(key, base(m), &svc.nodes[0].component, m);
+        assert!(on(&big) < on(&small), "{} {}", on(&big), on(&small));
     }
 
     #[test]
     fn gang_peers_pull_toward_similar_capacity() {
         let svc = apps::ecommerce();
-        let mid = Machine::new(
-            MachineSpec::paper_testbed(),
-            Allocation {
-                cores: 12,
-                llc_ways: 0,
-                mem_mb: 32 * 1024,
-                net_mbps: 1_000.0,
-                freq_mhz: 2_000,
-            },
-        );
-        let big = Machine::new(
-            MachineSpec::dense_compute(),
-            Allocation {
-                cores: 12,
-                llc_ways: 0,
-                mem_mb: 32 * 1024,
-                net_mbps: 1_000.0,
-                freq_mhz: 2_600,
-            },
-        );
-        let cands = [
-            CandidateMachine {
-                global: 0,
-                machine: &mid,
-                component: &svc.nodes[0].component,
-            },
-            CandidateMachine {
-                global: 1,
-                machine: &big,
-                component: &svc.nodes[0].component,
-            },
-        ];
-        let job = BeSpec::of(BeKind::Wordcount);
-        let model = InterferenceModel::calibrated();
-        let mut p = Placer::new(PlacementPolicy::HeteroAware, model);
+        let mid = machine();
+        let big = machine_of(MachineSpec::dense_compute(), 2_600);
+        let key = ScoreKey::of(&BeSpec::of(BeKind::Wordcount));
+        let p = placer(PlacementPolicy::HeteroAware);
+        let alone = |m: &Machine| p.hetero_base(key, base(m), &svc.nodes[0].component, m);
         // Alone, the big machine wins…
-        assert_eq!(p.choose_with_peers(&job, &cands, &specs(), &[]), Some(1));
+        assert!(alone(&big) < alone(&mid));
         // …but with siblings already placed on lean nodes the straggler
         // penalty pulls the next member toward the closer-matched machine.
-        let lean = Machine::new(
-            MachineSpec::lean_node(),
-            Allocation {
-                cores: 12,
-                llc_ways: 0,
-                mem_mb: 16 * 1024,
-                net_mbps: 1_000.0,
-                freq_mhz: 1_800,
-            },
+        let lean = Placer::capacity(&machine_of(MachineSpec::lean_node(), 1_800));
+        let with_peers =
+            |m: &Machine| Placer::with_straggler_penalty(alone(m), Placer::capacity(m), lean);
+        assert!(
+            with_peers(&mid) < with_peers(&big),
+            "gang members cluster by capacity"
         );
-        let lean_cap = Placer::capacity(&lean);
-        let with_peers = p.choose_with_peers(&job, &cands, &specs(), &[lean_cap; 4]);
-        assert_eq!(with_peers, Some(0), "gang members cluster by capacity");
     }
 }

@@ -17,11 +17,14 @@
 //! One scheduler serves the whole cluster: one job queue, one offer slot
 //! per machine and one instance→job binding map. All of it is mutated
 //! only at the barrier, so there is no parallelism to partition it for.
-//! The per-epoch cost is kept down per pass instead: eligibility is
-//! computed once per dispatch pass, and placement scores are ranked once
-//! per job spec per pass. Machines do not change state during a pass, so
-//! the cached rankings are exact, and a placement reads the head of a
-//! ranking instead of rescoring every machine.
+//! The per-epoch cost is kept down per pass instead. Eligibility is
+//! computed once per dispatch pass, and so is each eligible machine's
+//! BE pressure, on the first scored pick. Placement scores are ranked
+//! once per pass per [`ScoreKey`] — the five job fields a score reads —
+//! so jobs that differ only in name or size share a ranking. Machines
+//! do not change state during a pass, so the cached rankings are exact,
+//! and a placement reads the head of a ranking instead of rescoring
+//! every machine.
 //!
 //! Epoch protocol (epoch = controller period, paper: 2 s):
 //!
@@ -47,7 +50,7 @@ use crate::job::{ClusterJob, JobId, JobState};
 use crate::metrics::{
     machine_fingerprints, ClusterMetrics, ClusterOutcome, ClusterTelemetry, ShardingReport,
 };
-use crate::placement::{PlacementPolicy, Placer};
+use crate::placement::{PlacementPolicy, Placer, ScoreKey};
 use crate::queue::JobQueue;
 use crate::snapshot::{ClusterSnapshot, GangState, SchedulerState};
 use crate::state::{global_index, machine_ref, replica_seed, ClusterConfig};
@@ -55,6 +58,7 @@ use rhythm_controller::BeAction;
 use rhythm_core::experiment::{ControllerChoice, ExperimentConfig, ServiceContext};
 use rhythm_core::metrics::RunMetrics;
 use rhythm_core::runtime::Engine;
+use rhythm_interference::Pressure;
 use rhythm_machine::machine::BeInstanceId;
 use rhythm_sim::{LatencyHistogram, SimDuration, SimTime};
 use rhythm_snapshot::{Reader, SnapshotError, Writer};
@@ -154,16 +158,18 @@ struct GangTracker {
     forming: bool,
 }
 
-/// The per-pass placement ranking for one job spec: `(score, global)`
+/// The per-pass placement ranking for one score key: `(score, global)`
 /// over every eligible machine, ascending, ties ascending by global
 /// index. Machine state is constant during a dispatch pass (offers apply
 /// after the pop loop, a claimed machine is merely excluded), so scores
 /// computed once per pass are exact, collapsing O(jobs × machines)
-/// rescoring to O(specs × machines log machines) per epoch.
+/// rescoring to O(keys × machines log machines) per epoch. Jobs with
+/// equal keys share a ranking: their scores are equal on every machine,
+/// and the cursor only skips machines already claimed this pass.
 struct Ranked {
     order: Vec<(f64, usize)>,
     /// Entries before this are taken; the head is the current best
-    /// offer for the spec.
+    /// offer for the key.
     cursor: usize,
 }
 
@@ -195,15 +201,24 @@ struct Scheduler<'c> {
     events: Vec<ClusterEvent>,
     /// Dispatch passes that found no eligible machine.
     fast_path_epochs: u64,
+    /// Placement rankings built (at most one per pass per score key).
+    ranking_builds: u64,
+    /// Machine scores computed for those rankings.
+    machines_scored: u64,
     /// Normalized machine capacity per global index (pure function of
     /// the machine spec; filled on first dispatch).
     caps: Vec<f64>,
     /// Scratch: machines eligible for new work this dispatch pass
     /// (AllowBEGrowth, no outstanding offer), ascending global order.
     eligible: Vec<usize>,
-    /// Scratch: per-spec rankings this dispatch pass (key `""` holds the
-    /// job-independent LeastPressure ranking).
-    ranked: BTreeMap<String, Ranked>,
+    /// Scratch: the BE pressure of each eligible machine (parallel to
+    /// `eligible`), filled on the first scored pick of a pass. It does
+    /// not depend on the job, so every ranking of the pass reads it.
+    base: Vec<Pressure>,
+    /// Scratch: rankings this dispatch pass, keyed by
+    /// [`ScoreKey::bits`]; `None` holds the job-independent
+    /// LeastPressure ranking.
+    ranked: BTreeMap<Option<[u64; 5]>, Ranked>,
     /// Scratch, reused across passes: machines claimed this pass…
     taken: Vec<bool>,
     /// …and which entries of `taken` to reset next pass.
@@ -287,8 +302,11 @@ impl<'c> Scheduler<'c> {
             chaos: ChaosState::default(),
             events: Vec::new(),
             fast_path_epochs: 0,
+            ranking_builds: 0,
+            machines_scored: 0,
             caps: Vec::new(),
             eligible: Vec::new(),
+            base: Vec::new(),
             ranked: BTreeMap::new(),
             touched: Vec::new(),
             rr: BTreeSet::new(),
@@ -472,6 +490,7 @@ impl<'c> Scheduler<'c> {
         // not change inside a pass, so this — and every score derived
         // from it — stays valid until the pass ends.
         self.eligible.clear();
+        self.base.clear();
         self.ranked.clear();
         for g in 0..self.cfg.machines {
             if self.offered[g].is_none()
@@ -504,7 +523,7 @@ impl<'c> Scheduler<'c> {
                 Some(gid) => self.live_members(gid),
                 None => vec![jid],
             };
-            let spec = Arc::clone(&self.jobs[jid as usize].spec);
+            let key = ScoreKey::of(&self.jobs[jid as usize].spec);
             chosen.clear();
             peer_caps.clear();
             for _ in 0..members.len() {
@@ -523,7 +542,7 @@ impl<'c> Scheduler<'c> {
                     }
                     p
                 } else {
-                    self.pick_scored(&spec, &peer_caps, engines)
+                    self.pick_scored(key, &peer_caps, engines)
                 };
                 match pick {
                     Some(g) => {
@@ -569,58 +588,68 @@ impl<'c> Scheduler<'c> {
         self.peer_caps = peer_caps;
     }
 
-    /// The best unclaimed eligible machine for `spec`: the lowest score,
-    /// ties to the lowest global index. The ranking for `spec` is built
-    /// lazily, once per pass.
+    /// The best unclaimed eligible machine for a job keyed `key`: the
+    /// lowest score, ties to the lowest global index. Machine pressures
+    /// are computed on the first call of a pass; the ranking for `key`
+    /// is built on the first call that needs it.
     fn pick_scored(
         &mut self,
-        spec: &BeSpec,
+        key: ScoreKey,
         peer_caps: &[f64],
         engines: &[MutexGuard<'_, Engine>],
     ) -> Option<usize> {
         let Scheduler {
             placer,
             eligible,
+            base,
             ranked,
             taken,
             caps,
             catalog,
             pods,
+            ranking_builds,
+            machines_scored,
             ..
         } = self;
         let policy = placer.policy();
-        // LeastPressure ignores the job entirely: one shared ranking.
-        let key: &str = if policy == PlacementPolicy::LeastPressure {
-            ""
-        } else {
-            &spec.name
-        };
-        if !ranked.contains_key(key) {
-            let mut order: Vec<(f64, usize)> = Vec::with_capacity(eligible.len());
-            for &g in eligible.iter() {
+        if base.len() != eligible.len() {
+            base.extend(eligible.iter().map(|&g| {
                 let r = machine_ref(g, *pods);
-                let machine = engines[r.replica].machine(r.pod);
-                let component = &engines[r.replica].service().nodes[r.pod].component;
-                let s = match policy {
-                    PlacementPolicy::LeastPressure => Placer::pressure_score(machine, catalog),
-                    PlacementPolicy::InterferenceScore => {
-                        placer.score_on(spec, component, machine, catalog)
-                    }
-                    PlacementPolicy::HeteroAware => {
-                        placer.hetero_base(spec, component, machine, catalog)
-                    }
-                    PlacementPolicy::RoundRobin => unreachable!("RR uses the rotation set"),
-                };
-                order.push((s, g));
-            }
-            // Scores are finite and non-negative (pressures, inflations
-            // and capacities all are), so total_cmp is the plain `<`
-            // order here; ties keep ascending global.
-            order.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-            ranked.insert(key.to_string(), Ranked { order, cursor: 0 });
+                Pressure::from_machine(engines[r.replica].machine(r.pod), catalog)
+            }));
         }
-        // PANIC: the branch above inserted this key when it was absent.
-        let ranked = ranked.get_mut(key).expect("ranking just built");
+        // LeastPressure ignores the job entirely: one shared ranking.
+        let ranked = ranked
+            .entry((policy != PlacementPolicy::LeastPressure).then(|| key.bits()))
+            .or_insert_with(|| {
+                let mut order: Vec<(f64, usize)> = eligible
+                    .iter()
+                    .zip(base.iter())
+                    .map(|(&g, &p)| {
+                        let r = machine_ref(g, *pods);
+                        let machine = engines[r.replica].machine(r.pod);
+                        let component = &engines[r.replica].service().nodes[r.pod].component;
+                        let s = match policy {
+                            PlacementPolicy::LeastPressure => Placer::pressure_score(p),
+                            PlacementPolicy::InterferenceScore => {
+                                placer.score_on(key, p, component, machine)
+                            }
+                            PlacementPolicy::HeteroAware => {
+                                placer.hetero_base(key, p, component, machine)
+                            }
+                            PlacementPolicy::RoundRobin => unreachable!("RR uses the rotation set"),
+                        };
+                        (s, g)
+                    })
+                    .collect();
+                *ranking_builds += 1;
+                *machines_scored += order.len() as u64;
+                // Scores are finite and non-negative (pressures,
+                // inflations and capacities all are), so total_cmp is the
+                // plain `<` order here; ties keep ascending global.
+                order.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+                Ranked { order, cursor: 0 }
+            });
         if policy == PlacementPolicy::HeteroAware && !peer_caps.is_empty() {
             // Gang context shifts every machine's score by its own
             // capacity-mismatch penalty, which reorders arbitrarily:
@@ -628,11 +657,11 @@ impl<'c> Scheduler<'c> {
             // explicit (score, global) tie-break.
             let peer_mean = peer_caps.iter().sum::<f64>() / peer_caps.len() as f64;
             let mut best: Option<(f64, usize)> = None;
-            for &(base, g) in &ranked.order {
+            for &(hetero_base, g) in &ranked.order {
                 if taken[g] {
                     continue;
                 }
-                let s = base + Placer::STRAGGLER_WEIGHT * (caps[g] - peer_mean).abs();
+                let s = Placer::with_straggler_penalty(hetero_base, caps[g], peer_mean);
                 match best {
                     Some((bs, bg)) if !(s < bs || (s == bs && g < bg)) => {}
                     _ => best = Some((s, g)),
@@ -1371,6 +1400,8 @@ impl<'a> ClusterRunner<'a> {
             sharding: ShardingReport {
                 steals: 0,
                 fast_path_epochs: sched.fast_path_epochs,
+                ranking_builds: sched.ranking_builds,
+                machines_scored: sched.machines_scored,
             },
             per_replica,
             jobs: sched.jobs,
@@ -1722,6 +1753,48 @@ mod tests {
         assert!(run.snapshots.is_empty());
         let straight = run_cluster(&ctx, &ControllerChoice::Rhythm, &c);
         assert_outcomes_identical(&straight, &run.outcome, "no-op capture run");
+    }
+
+    #[test]
+    fn round_robin_rotates_over_eligible_machines() {
+        // 10 jobs on 8 machines: the first pass (every machine eligible,
+        // no controller has ticked) fills machines 0-7 in order. The
+        // two left over get offers the busy machines never consume, so
+        // each pass withdraws and re-offers them two machines further
+        // on, wrapping at the end of the cluster.
+        let ctx = ctx();
+        let mut c = small_cfg();
+        c.machines = 8;
+        c.duration_s = 20;
+        c.job_plan = (0..10)
+            .map(|_| JobSpec::solitary(c.be_mix[0].clone()))
+            .collect();
+        let mut runner = ClusterRunner::new(&ctx, &ControllerChoice::Rhythm, &c);
+        for epoch in 1..=5 {
+            runner = runner.snapshot_at(epoch);
+        }
+        let run = runner.run();
+        let machine = |st: &SchedulerState, j: usize| match st.jobs[j].state {
+            JobState::Offered(g) | JobState::Running(g) => Some(g),
+            JobState::Queued | JobState::Done => None,
+        };
+        let first = &run.snapshots[0].1.scheduler;
+        assert_eq!(
+            (0..10).map(|j| machine(first, j)).collect::<Vec<_>>(),
+            [(0..8).map(Some).collect(), vec![None, None]].concat()
+        );
+        assert_eq!(first.rr_cursor, 8);
+        let rotation: Vec<(Option<usize>, Option<usize>, u64)> = run.snapshots[1..]
+            .iter()
+            .map(|(_, snap)| {
+                let st = &snap.scheduler;
+                (machine(st, 8), machine(st, 9), st.rr_cursor)
+            })
+            .collect();
+        assert_eq!(
+            rotation,
+            [0, 2, 4, 6].map(|g| (Some(g), Some(g + 1), g as u64 + 2))
+        );
     }
 
     #[test]

@@ -12,12 +12,16 @@
 //! telemetry JSONL export to be byte-identical across 1/2/4/8 threads.
 //! A third runs a 256-machine cell on 1/2/4/8 threads, so the
 //! dispatcher and the worker pool are checked at warehouse width too.
+//! A fourth bounds the dispatcher's ranking builds on a backlog of
+//! uniquely named jobs and checks its counters across thread counts.
 //!
 //! The vendored proptest shim runs a fixed 64 cases — far too many for
 //! whole-cluster runs — so the cells are drawn from a splitmix64 stream
 //! instead (still deterministic, still random-looking).
 
+use rhythm::cluster::ScoreKey;
 use rhythm::prelude::*;
+use std::collections::BTreeSet;
 use std::sync::OnceLock;
 
 /// Profiling a service (Algorithm 1) is by far the most expensive step,
@@ -175,6 +179,69 @@ fn large_cluster_runs_are_thread_count_invariant() {
         assert_eq!(
             baseline.sharding.fast_path_epochs, run.sharding.fast_path_epochs,
             "dispatch counters diverged at {threads} threads"
+        );
+    }
+}
+
+/// A unique-name backlog: every job of a `heavy_tailed_plan` carries
+/// its own name (`kind#idx`), but only as many score keys as the mix
+/// has kinds.
+fn heavy_tailed_cell(policy: PlacementPolicy, threads: usize) -> ClusterConfig {
+    let mut c = ClusterConfig::new(32);
+    c.duration_s = 40;
+    c.load = LoadGen::constant(0.5);
+    c.policy = policy;
+    c.seed = 0x4EA7;
+    c.threads = threads;
+    let dist = JobSizeDist::LogNormal {
+        median_s: 12.0,
+        sigma: 1.7,
+    };
+    c.job_plan = heavy_tailed_plan(4 * 32, &c.be_mix, &dist, 2.0, 60.0, c.seed);
+    c
+}
+
+#[test]
+fn rankings_are_built_per_score_key_not_per_job() {
+    for policy in [
+        PlacementPolicy::LeastPressure,
+        PlacementPolicy::InterferenceScore,
+        PlacementPolicy::HeteroAware,
+    ] {
+        let c = heavy_tailed_cell(policy, 1);
+        let passes = (c.duration_s * 1000).div_ceil(c.controller_period_ms);
+        let keys = if policy == PlacementPolicy::LeastPressure {
+            1
+        } else {
+            let distinct: BTreeSet<[u64; 5]> =
+                c.be_mix.iter().map(|s| ScoreKey::of(s).bits()).collect();
+            distinct.len() as u64
+        };
+        let serial = run_cluster(ctx(), &ControllerChoice::Rhythm, &c);
+        let d = &serial.sharding;
+        assert!(
+            d.ranking_builds > 0 && d.machines_scored > 0,
+            "{policy:?}: nothing ranked"
+        );
+        assert!(
+            d.ranking_builds <= passes * keys,
+            "{policy:?}: {} builds for {passes} passes × {keys} score keys",
+            d.ranking_builds
+        );
+        let parallel = run_cluster(
+            ctx(),
+            &ControllerChoice::Rhythm,
+            &heavy_tailed_cell(policy, 4),
+        );
+        assert_eq!(
+            serial.fingerprints, parallel.fingerprints,
+            "{policy:?}: fingerprints"
+        );
+        let p = &parallel.sharding;
+        assert_eq!(
+            (d.ranking_builds, d.machines_scored),
+            (p.ranking_builds, p.machines_scored),
+            "{policy:?}: dispatch counters diverged at 4 threads"
         );
     }
 }
